@@ -12,25 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-from planforge.dataset import audit_leakage
-from planforge.drivers import (
-    ExpansionBudgetExceeded,
-    PlannerAdapter,
-    load_adapters,
-    reference_plan,
-)
-from planforge.evaluate import EndpointConfig, export_report, render_report, run_inference, score
-from planforge.pddl.parser import parse_domain, parse_problem
-from planforge.plans import render_plan, validate
-from planforge.session import (
-    Session,
-    StageError,
-    load_pipeline_config,
-    run_pipeline,
-    stage_assemble,
-    stage_generate,
-    stage_plan,
-)
+# Subcommands import what they use when they run: the planner protocol
+# (``refplan``) and ``validate`` need neither jsonschema nor requests, and
+# each ``eval`` or ``pipeline`` run loads only its own side.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,7 +29,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _adapter_from_args(args) -> PlannerAdapter:
+def _adapter_from_args(args):
+    from planforge.drivers import load_adapters
+    from planforge.session import StageError
+
     adapters = load_adapters(args.adapters)
     if args.adapter not in adapters:
         raise StageError(
@@ -56,6 +43,8 @@ def _adapter_from_args(args) -> PlannerAdapter:
 
 
 def cmd_gen_problems(args) -> int:
+    from planforge.session import Session, stage_generate
+
     session = Session(args.session)
     result = stage_generate(session, args.config, args.domain, args.count, args.seed)
     if result["skipped"]:
@@ -70,6 +59,8 @@ def cmd_gen_problems(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from planforge.session import Session, stage_plan
+
     session = Session(args.session)
     adapter = _adapter_from_args(args)
     result = stage_plan(
@@ -87,6 +78,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_assemble(args) -> int:
+    from planforge.session import Session, StageError, stage_assemble
+
     quotas = {
         name: value
         for name, value in (("train", args.train), ("val", args.val), ("test", args.test))
@@ -102,6 +95,9 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from planforge.pddl.parser import parse_domain, parse_problem
+    from planforge.plans import validate
+
     domain = parse_domain(Path(args.domain).read_text())
     problem = parse_problem(Path(args.problem).read_text(), domain)
     result = validate(domain, problem, Path(args.plan).read_text())
@@ -114,6 +110,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from planforge.dataset import audit_leakage
+
     report = audit_leakage(args.dataset)
     counts = " ".join(f"{name}={n}" for name, n in sorted(report.files.items()))
     if report.clean:
@@ -128,12 +126,20 @@ def cmd_audit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from planforge.evaluate import (
+        EndpointConfig,
+        export_report,
+        render_report,
+        run_inference,
+        score,
+    )
+
     entries = json.loads(Path(args.dataset).read_text())
     if not isinstance(entries, list) or not entries:
-        raise StageError(f"{args.dataset}: expected a non-empty array of records")
+        raise ValueError(f"{args.dataset}: expected a non-empty array of records")
     for i, entry in enumerate(entries):
         if not all(k in entry for k in ("instruction", "input", "output")):
-            raise StageError(f"{args.dataset}: record {i} is missing a required field")
+            raise ValueError(f"{args.dataset}: record {i} is missing a required field")
     if args.limit is not None:
         entries = entries[: args.limit]
     endpoint = EndpointConfig(
@@ -153,6 +159,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from planforge.session import load_pipeline_config, run_pipeline
+
     config = load_pipeline_config(args.config)
     summary = run_pipeline(config, args.session)
     for name, info in summary["domains"].items():
@@ -166,6 +174,10 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_refplan(args) -> int:
+    from planforge.drivers import ExpansionBudgetExceeded, reference_plan
+    from planforge.pddl.parser import parse_domain, parse_problem
+    from planforge.plans import render_plan
+
     domain = parse_domain(Path(args.domain).read_text())
     problem = parse_problem(Path(args.problem).read_text(), domain)
     try:

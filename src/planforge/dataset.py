@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from planforge.generate import fingerprint_problem
+from planforge.pddl.model import Domain
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
 
@@ -81,9 +82,12 @@ def to_alpaca(records: list[DatasetRecord]) -> list[dict[str, str]]:
     ]
 
 
-def _revalidate(record: DatasetRecord) -> None:
+def _revalidate(record: DatasetRecord, domains: dict[str, Domain]) -> None:
+    """Check one record's plan; ``domains`` caches parsed domains by text."""
     try:
-        domain = parse_domain(record.instruction)
+        domain = domains.get(record.instruction)
+        if domain is None:
+            domain = domains[record.instruction] = parse_domain(record.instruction)
         problem = parse_problem(record.input, domain)
         outcome = validate(domain, problem, record.output)
     except ValueError as err:
@@ -134,8 +138,9 @@ def assemble(
         by_fp[record.fingerprint] = record.problem_id
 
     if revalidate:
+        domains: dict[str, Domain] = {}
         for record in records:
-            _revalidate(record)
+            _revalidate(record, domains)
 
     groups: dict[str, list[DatasetRecord]] = {}
     for record in records:

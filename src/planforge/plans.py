@@ -16,9 +16,6 @@ from planforge.pddl.model import Domain, Problem, State
 
 PlanStep = tuple[str, ...]
 
-# Step-level failures carry the offending step index; goal_unreached does not.
-STEP_FAILURE_KINDS = ("unknown_action", "bad_arity", "type_error", "precondition_failed")
-
 _TIMESTAMP_RE = re.compile(r"^\s*\d+(\.\d+)?\s*:\s*")
 _STEP_RE = re.compile(r"^\((\S+)((?:\s+\S+)*)\s*\)$")
 

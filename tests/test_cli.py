@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -51,6 +53,58 @@ def test_missing_required_flag_is_a_usage_error(capsys):
         main(["gen-problems", "--config", ARTIC3_CONFIG])
     assert exit_info.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+HEAVY_MODULES = ("requests", "jsonschema", "planforge.dpgc", "planforge.generate")
+
+
+def modules_after(argv: list[str] | None) -> set[str]:
+    """Which HEAVY_MODULES a fresh interpreter holds after importing the CLI
+    and, unless argv is None, running it once."""
+    code = (
+        "import json, sys\n"
+        "from planforge.cli import main\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    main(argv)\n"
+        f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
+    )
+    src = str(assets_dir().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    plan_file = tmp_path / "gold.plan"
+    plan_file.write_text(MICRO_PLAN)
+    split = tmp_path / "val.json"
+    split.write_text(json.dumps([{
+        "instruction": (assets_dir() / "artic3.pddl").read_text(),
+        "input": (assets_dir() / "artic3_micro.pddl").read_text(),
+        "output": MICRO_PLAN,
+    }]))
+    assert modules_after(None) == set()
+    assert modules_after([
+        "validate", "--domain", ARTIC3_DOMAIN, "--problem", MICRO_PROBLEM,
+        "--plan", str(plan_file),
+    ]) == set()
+    assert modules_after([
+        "refplan", "--domain", ARTIC3_DOMAIN, "--problem", MICRO_PROBLEM,
+        "--output", str(tmp_path / "out.plan"),
+    ]) == set()
+    # nothing listens on port 1: every request fails fast and is scored
+    assert modules_after([
+        "eval", "--dataset", str(split), "--endpoint", "http://127.0.0.1:1/x",
+        "--out", str(tmp_path / "report"),
+    ]) == {"requests"}
+    assert "requests" not in modules_after([
+        "pipeline", "--config", str(tmp_path / "missing.json"),
+        "--session", str(tmp_path / "run"),
+    ])
 
 
 def test_gen_problems_reports_and_skips(tmp_path, capsys):

@@ -194,6 +194,25 @@ def test_assemble_revalidation_gate(tmp_path, corpus):
     assemble(bad, {"train": 2}, 0, tmp_path / "open", revalidate=False)
 
 
+def test_assemble_parses_each_domain_once(tmp_path, corpus, monkeypatch):
+    import planforge.dataset as dataset
+
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_domain(text)
+
+    monkeypatch.setattr(dataset, "parse_domain", counting_parse)
+    records = balanced(corpus)
+    assemble(records, {"train": 2}, 0, tmp_path / "ok")
+    assert len(calls) == 2
+    # every record is still revalidated, not just each domain's first
+    broken = dataclasses.replace(records[-1], output="(release gripper1 gripper2)\n")
+    with pytest.raises(DatasetError, match="invalid plan"):
+        assemble(records[:-1] + [broken], {"train": 2}, 0, tmp_path / "gate")
+
+
 def test_audit_clean_dataset(tmp_path, corpus):
     assemble(balanced(corpus), {"train": 16, "val": 4, "test": 4}, 5, tmp_path)
     report = audit_leakage(tmp_path)

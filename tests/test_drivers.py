@@ -1,19 +1,30 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import MICRO_PLAN, make_stub_adapter
 from oracle import sim_shortest_plan, sim_validate
+from planforge import drivers
 from planforge.drivers import (
     AdapterError,
     ExpansionBudgetExceeded,
     NormalizationError,
+    PlannerAdapter,
     load_adapters,
     normalize_output,
     plan_batch,
     reference_plan,
+    runs_in_process,
     solve,
 )
 from planforge.generate import generate_batch
@@ -125,6 +136,50 @@ def test_solve_timeout(tmp_path, artic3_domain_text, micro_text):
     assert "killed after" in result.detail
 
 
+def _stat(pid) -> list[str] | None:
+    """State, parent pid, ... of a process; None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def _alive(pid: int) -> bool:
+    """Whether a process exists and is not a zombie waiting to be reaped."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _live_children() -> list[int]:
+    """Live child processes of this process, helpers included."""
+    pids = [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()]
+    return [pid for pid in pids
+            if _alive(pid) and (_stat(pid) or [0, 0])[1] == str(os.getpid())]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_solve_timeout_kills_the_planners_children(tmp_path, artic3_domain_text,
+                                                   micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    pids = tmp_path / "pids"
+    # the shell leaves a background child holding its stdout
+    adapter = PlannerAdapter(
+        name="forks", executable="sh",
+        args=("-c", 'sleep 30 & echo $$ $! > "$0"; wait', str(pids),
+              "{domain}", "{problem}", "{output}"),
+        timeout=0.5,
+    )
+    start = time.monotonic()
+    result = solve(adapter, domain_path, problem_path)
+    assert result.status == "timeout"
+    assert time.monotonic() - start < 5
+    group = [int(pid) for pid in pids.read_text().split()]
+    deadline = time.monotonic() + 5
+    while any(_alive(pid) for pid in group) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in group if _alive(pid)]
+
+
 def test_solve_no_solution_marker_wins_over_exit_code(tmp_path, artic3_domain_text,
                                                       micro_text):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
@@ -172,6 +227,57 @@ def test_solve_missing_executable_is_crashed(tmp_path, artic3_domain_text, micro
     assert "spawn failure" in result.detail
 
 
+# The bundled command run as a subprocess: ``executable`` is a literal path,
+# so runs_in_process is false for it.
+def subprocess_refplan(extra_args=()):
+    internal = load_adapters()["internal"]
+    return dataclasses.replace(
+        internal, name="refplan-subprocess", executable=sys.executable,
+        args=internal.args + tuple(extra_args),
+    )
+
+
+def test_only_the_bundled_command_runs_in_process():
+    assert runs_in_process(load_adapters()["internal"])
+    assert not runs_in_process(subprocess_refplan())
+    assert not runs_in_process(load_adapters()["probe"])
+
+
+def test_in_process_statuses_match_the_subprocess_protocol(
+    tmp_path, artic3_domain_text, micro_text, monkeypatch
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    goal_at = micro_text.index("(:goal")
+    unsolvable = tmp_path / "unsolvable.pddl"
+    unsolvable.write_text(
+        micro_text[:goal_at] + "(:goal (and (held) (free gripper1))))\n"
+    )
+    internal = load_adapters()["internal"]
+    external = subprocess_refplan()
+
+    def both(problem, **kwargs):
+        inner = solve(internal, domain_path, problem, **kwargs)
+        outer = solve(external, domain_path, problem, **kwargs)
+        assert inner.status == outer.status
+        assert inner.plan_text == outer.plan_text
+        return inner
+
+    solved = both(problem_path)
+    assert solved.status == "solved"
+    assert solved.plan_text == MICRO_PLAN
+    assert both(unsolvable).status == "no_solution"
+    assert both(problem_path, timeout=1e-6).status == "timeout"
+
+    # budget: refplan exits 4, the in-process search raises
+    budget = solve(subprocess_refplan(["--max-expansions", "2"]),
+                   domain_path, problem_path)
+    assert budget.status == "crashed" and "exit code 4" in budget.detail
+    monkeypatch.setattr(drivers, "reference_plan",
+                        functools.partial(reference_plan, max_expansions=2))
+    inner = solve(internal, domain_path, problem_path)
+    assert inner.status == "crashed" and "expansion budget" in inner.detail
+
+
 def test_reference_plan_finds_shortest(artic3, micro):
     plan = reference_plan(artic3, micro)
     expected = sim_shortest_plan(artic3, micro)
@@ -205,6 +311,8 @@ def test_reference_plan_proves_unsolvability(artic3, micro_text):
 def test_reference_plan_budget(artic3, micro):
     with pytest.raises(ExpansionBudgetExceeded):
         reference_plan(artic3, micro, max_expansions=2)
+    with pytest.raises(TimeoutError):
+        reference_plan(artic3, micro, deadline=time.monotonic() - 1)
 
 
 def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
@@ -269,3 +377,77 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
     seq_plans = {e.problem_id: e.plan_path.read_text() for e in seq.entries}
     par_plans = {e.problem_id: e.plan_path.read_text() for e in par.entries}
     assert seq_plans == par_plans
+
+
+def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domain_text,
+                                                  artic3_config):
+    root = tmp_path / "s"
+    generate_batch(artic3_config, artic3, 6, 57,
+                   root / "problems", root / "journal.fp")
+    domain_path = root / "domain.pddl"
+    domain_path.write_text(artic3_domain_text)
+    problems = sorted((root / "problems").iterdir())
+    pooled = plan_batch(load_adapters()["internal"], artic3, domain_path, problems,
+                        root / "plans-pool", workers=2)
+    spawned = plan_batch(subprocess_refplan(), artic3, domain_path, problems,
+                         root / "plans-subprocess", workers=2)
+    assert [e.status for e in pooled.entries] == [e.status for e in spawned.entries]
+    assert pooled.solved > 0
+    for ours, theirs in zip(pooled.entries, spawned.entries):
+        if ours.plan_path is not None:
+            assert ours.plan_path.read_bytes() == theirs.plan_path.read_bytes()
+    assert multiprocessing.active_children() == []
+    if Path("/proc/self/stat").exists():
+        assert _live_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3, artic3_domain_text,
+                                         micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    # opening a named pipe nobody writes to blocks the worker before search
+    stuck = tmp_path / "stuck.pddl"
+    os.mkfifo(stuck)
+    timeout = 0.5
+    start = time.monotonic()
+    result = plan_batch(load_adapters()["internal"], artic3, domain_path,
+                        [stuck, problem_path], tmp_path / "plans", timeout=timeout)
+    elapsed = time.monotonic() - start
+    stuck_entry, micro_entry = result.entries
+    assert stuck_entry.status == "timeout"
+    assert timeout + drivers._KILL_GRACE_S <= stuck_entry.wall_time
+    assert stuck_entry.wall_time < timeout + drivers._KILL_GRACE_S + 1
+    # the problem still pending ran on a fresh worker
+    assert micro_entry.status == "solved"
+    assert elapsed < timeout + drivers._KILL_GRACE_S + 10
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
+    tmp_path, artic3, artic3_domain_text, micro_text
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    stuck = tmp_path / "stuck.pddl"
+    os.mkfifo(stuck)
+    results = []
+    batch = threading.Thread(target=lambda: results.append(plan_batch(
+        load_adapters()["internal"], artic3, domain_path, [problem_path, stuck],
+        tmp_path / "plans", timeout=60,
+    )))
+    batch.start()
+    # the first plan is on disk while the batch is still running
+    plan_file = tmp_path / "plans" / "problem.plan"
+    deadline = time.monotonic() + 30
+    while not plan_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert plan_file.read_text() == MICRO_PLAN
+    assert batch.is_alive()
+    # the worker dies from outside, as under the kernel's out-of-memory killer
+    for worker in multiprocessing.active_children():
+        worker.kill()
+    batch.join(timeout=60)
+    assert not batch.is_alive()
+    solved, killed = results[0].entries
+    assert (solved.status, killed.status) == ("solved", "crashed")
+    assert multiprocessing.active_children() == []
