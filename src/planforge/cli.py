@@ -29,19 +29,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _adapter_from_args(args):
-    from planforge.drivers import load_adapters
-    from planforge.session import StageError
-
-    adapters = load_adapters(args.adapters)
-    if args.adapter not in adapters:
-        raise StageError(
-            f"unknown adapter '{args.adapter}' "
-            f"(registry has: {', '.join(sorted(adapters))})"
-        )
-    return adapters[args.adapter]
-
-
 def cmd_gen_problems(args) -> int:
     from planforge.session import Session, stage_generate
 
@@ -59,10 +46,10 @@ def cmd_gen_problems(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from planforge.session import Session, stage_plan
+    from planforge.session import Session, load_adapter, stage_plan
 
     session = Session(args.session)
-    adapter = _adapter_from_args(args)
+    adapter = load_adapter(args.adapter, args.adapters)
     result = stage_plan(
         session, adapter, timeout=args.timeout, workers=args.workers
     )
@@ -78,7 +65,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    from planforge.session import Session, StageError, stage_assemble
+    from planforge.session import Session, StageError, collect_records, stage_assemble
 
     quotas = {
         name: value
@@ -87,8 +74,10 @@ def cmd_assemble(args) -> int:
     }
     if not quotas:
         raise StageError("all quotas are zero; nothing to assemble")
-    sessions = [Session(p) for p in args.session]
-    manifest = stage_assemble(sessions, quotas, args.seed, args.out)
+    records = []
+    for path in args.session:
+        records.extend(collect_records(Session(path))[0])
+    manifest = stage_assemble(records, quotas, args.seed, args.out)
     counts = " ".join(f"{k}={v}" for k, v in manifest["counts"].items())
     print(f"dataset written to {args.out} ({counts})")
     return EXIT_OK

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from planforge.generate import fingerprint_problem
-from planforge.pddl.model import Domain
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
 
@@ -82,12 +81,9 @@ def to_alpaca(records: list[DatasetRecord]) -> list[dict[str, str]]:
     ]
 
 
-def _revalidate(record: DatasetRecord, domains: dict[str, Domain]) -> None:
-    """Check one record's plan; ``domains`` caches parsed domains by text."""
+def _revalidate(record: DatasetRecord) -> None:
     try:
-        domain = domains.get(record.instruction)
-        if domain is None:
-            domain = domains[record.instruction] = parse_domain(record.instruction)
+        domain = parse_domain(record.instruction)
         problem = parse_problem(record.input, domain)
         outcome = validate(domain, problem, record.output)
     except ValueError as err:
@@ -98,28 +94,47 @@ def _revalidate(record: DatasetRecord, domains: dict[str, Domain]) -> None:
         )
 
 
+def per_domain_quotas(quotas: dict[str, int], n_domains: int) -> dict[str, int]:
+    """Each split's count per domain.
+
+    Quotas apply to the combined dataset and must be positive and divide
+    evenly across the domains, so each domain contributes the same count to
+    each split.  Raises DatasetError otherwise.
+    """
+    need: dict[str, int] = {}
+    for name, quota in quotas.items():
+        if quota <= 0:
+            raise DatasetError(f"split '{name}' has non-positive quota {quota}")
+        if quota % n_domains != 0:
+            raise DatasetError(
+                f"split '{name}' quota {quota} does not divide evenly "
+                f"across {n_domains} domain(s)"
+            )
+        need[name] = quota // n_domains
+    return need
+
+
 def assemble(
     records: list[DatasetRecord],
     quotas: dict[str, int],
     seed: int | str,
     out_dir: str | Path,
-    *,
-    revalidate: bool = True,
 ) -> dict:
     """Write quota-exact split files plus spillover and a manifest.
 
-    Quotas apply to the combined dataset and must divide evenly across the
-    domains present, so each domain contributes the same count to each split.
-    Raises DatasetError on empty fields, duplicate problems, plans that do
-    not revalidate, unmet quotas, or indivisible quotas.
+    Raises DatasetError on bad quotas (see ``per_domain_quotas``), empty
+    fields, duplicate problems, plans that do not revalidate, or unmet
+    quotas.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not records:
         raise DatasetError("no records to assemble")
-    for name, quota in quotas.items():
-        if quota <= 0:
-            raise DatasetError(f"split '{name}' has non-positive quota {quota}")
+    groups: dict[str, list[DatasetRecord]] = {}
+    for record in records:
+        groups.setdefault(record.domain_name, []).append(record)
+    domains = sorted(groups)
+    need_per_domain = per_domain_quotas(quotas, len(domains))
 
     for record in records:
         for key in ALPACA_KEYS:
@@ -137,24 +152,9 @@ def assemble(
             )
         by_fp[record.fingerprint] = record.problem_id
 
-    if revalidate:
-        domains: dict[str, Domain] = {}
-        for record in records:
-            _revalidate(record, domains)
-
-    groups: dict[str, list[DatasetRecord]] = {}
     for record in records:
-        groups.setdefault(record.domain_name, []).append(record)
-    domains = sorted(groups)
+        _revalidate(record)
 
-    need_per_domain: dict[str, int] = {}
-    for name, quota in quotas.items():
-        if quota % len(domains) != 0:
-            raise DatasetError(
-                f"split '{name}' quota {quota} does not divide evenly "
-                f"across {len(domains)} domain(s)"
-            )
-        need_per_domain[name] = quota // len(domains)
     total_needed = sum(need_per_domain.values())
     for domain in domains:
         if len(groups[domain]) < total_needed:
@@ -247,16 +247,11 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
         raise DatasetError(f"no split files found in {dataset_dir}")
     seen: dict[str, list[tuple[str, int]]] = {}
     counts: dict[str, int] = {}
-    domains: dict[str, object] = {}
     for path in files:
         data = json.loads(path.read_text())
         counts[path.name] = len(data)
         for index, entry in enumerate(data):
-            domain_text = entry["instruction"]
-            domain = domains.get(domain_text)
-            if domain is None:
-                domain = parse_domain(domain_text)
-                domains[domain_text] = domain
+            domain = parse_domain(entry["instruction"])
             problem = parse_problem(entry["input"], domain)
             fp = fingerprint_problem(problem)
             seen.setdefault(fp, []).append((path.name, index))

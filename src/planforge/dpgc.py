@@ -1,4 +1,4 @@
-"""Declarative problem generation configs: parsing, checking, serialization.
+"""Declarative problem generation configs: parsing and checking.
 
 A config names a domain, declares object pools that instantiate numbered
 objects (``prefix1 .. prefixN``), fixes a constant part of the initial state,
@@ -23,8 +23,6 @@ from planforge.pddl.model import Atom, Domain
 
 _ATOM_RE = re.compile(r"^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$")
 _TAG_RE = re.compile(r"^(?P<pool>[^$]+)\$(?P<label>[^+$]+)(?:\+(?P<offset>\d+))?$")
-
-USAGE_MODES = ("random", "mutex", "sequential")
 
 
 class ConfigError(ValueError):
@@ -79,12 +77,6 @@ class ArgRef:
     label: str | None = None
     offset: int = 0
 
-    def render(self) -> str:
-        if self.kind == "literal" or self.label is None:
-            return self.value
-        text = f"{self.value}${self.label}"
-        return f"{text}+{self.offset}" if self.offset else text
-
 
 @dataclass(frozen=True)
 class AtomTemplate:
@@ -121,9 +113,6 @@ class GeneratorConfig:
             if pool.id == pool_id:
                 return pool
         return None
-
-    def predicate_pools(self) -> tuple[PredicatePool, ...]:
-        return self.variable_init + self.variable_goal
 
 
 def _load_schema() -> dict:
@@ -319,49 +308,6 @@ def parse_config(text: str) -> GeneratorConfig:
 
 def load_config(path: str | Path) -> GeneratorConfig:
     return parse_config(Path(path).read_text())
-
-
-def serialize_config(config: GeneratorConfig) -> str:
-    """Render a config back to JSON; parsing the output reproduces the value."""
-
-    def atom_dict(tpl: AtomTemplate) -> dict:
-        out: dict = {"predicate": tpl.predicate, "args": [a.render() for a in tpl.args]}
-        if tpl.probability != 1.0:
-            out["probability"] = tpl.probability
-        return out
-
-    def pp_dict(pp: PredicatePool) -> dict:
-        out: dict = {"id": pp.id}
-        if pp.count != 1:
-            out["count"] = pp.count
-        out["atoms"] = [atom_dict(t) for t in pp.atoms]
-        return out
-
-    data: dict = {
-        "domain": config.domain,
-        "object_pools": [
-            {
-                "id": p.id,
-                "type": p.type,
-                "prefix": p.prefix,
-                "quantity": p.quantity,
-                "usage": p.usage,
-            }
-            for p in config.object_pools
-        ],
-    }
-    if config.constant_init:
-        data["constant_init"] = ["(" + " ".join(a) + ")" for a in config.constant_init]
-    if config.variable_init:
-        data["variable_init"] = [pp_dict(pp) for pp in config.variable_init]
-    if config.variable_goal:
-        data["variable_goal"] = [pp_dict(pp) for pp in config.variable_goal]
-    if config.mutex_groups:
-        data["mutex_groups"] = [
-            {"id": g.id, "members": list(g.members), "weights": list(g.weights)}
-            for g in config.mutex_groups
-        ]
-    return json.dumps(data, indent=2) + "\n"
 
 
 def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Diagnostic]:

@@ -25,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -277,11 +277,6 @@ def _kill_group(pgid: int) -> None:
         pass
 
 
-@functools.lru_cache(maxsize=8)
-def _domain_of(text: str) -> Domain:
-    return parse_domain(text)
-
-
 def _solve_in_process(
     domain_path: str | Path, problem_path: str | Path, timeout: float
 ) -> SolveResult:
@@ -293,7 +288,7 @@ def _solve_in_process(
     deadline = time.monotonic() + timeout
     status, plan_text, detail = "solved", None, ""
     try:
-        domain = _domain_of(Path(domain_path).read_text())
+        domain = parse_domain(Path(domain_path).read_text())
         problem = parse_problem(Path(problem_path).read_text(), domain)
         plan = reference_plan(domain, problem, deadline=deadline)
     except TimeoutError:
@@ -372,25 +367,6 @@ class BatchEntry:
     plan_path: Path | None
 
 
-@dataclass
-class BatchResult:
-    entries: list[BatchEntry]
-
-    def tally(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            counts[entry.status] = counts.get(entry.status, 0) + 1
-        return counts
-
-    @property
-    def solved(self) -> int:
-        return sum(1 for e in self.entries if e.status == "solved")
-
-    @property
-    def shortfall(self) -> int:
-        return len(self.entries) - self.solved
-
-
 def plan_batch(
     adapter: PlannerAdapter,
     domain: Domain,
@@ -401,8 +377,9 @@ def plan_batch(
     timeout: float | None = None,
     workers: int = 1,
     log_path: str | Path | None = None,
-) -> BatchResult:
-    """Solve a set of problems and keep only plans that validate exactly.
+) -> list[BatchEntry]:
+    """Solve a set of problems and keep only plans that validate exactly;
+    returns one entry per problem, in order.
 
     Up to ``workers`` problems are solved at a time: on spawned worker
     processes when the adapter runs in-process, else on threads that each
@@ -424,10 +401,9 @@ def plan_batch(
         if result.status != "solved":
             return BatchEntry(pid, result.status, result.wall_time, None, None)
         problem = parse_problem(problem_path.read_text(), domain)
-        outcome = validate(domain, problem, result.plan_text)
-        if not outcome.valid:
-            return BatchEntry(pid, "invalid", result.wall_time, None, None)
         steps = parse_plan(result.plan_text)
+        if not validate(domain, problem, steps).valid:
+            return BatchEntry(pid, "invalid", result.wall_time, None, None)
         plan_path = plans_dir / f"{pid}.plan"
         plan_path.write_text(render_plan(steps))
         return BatchEntry(pid, "solved", result.wall_time, len(steps), plan_path)
@@ -456,11 +432,10 @@ def plan_batch(
                 log.write(
                     f"{entry.problem_id} {entry.status} {entry.wall_time:.3f} {length}\n"
                 )
-            counts = " ".join(
-                f"{k}={v}" for k, v in sorted(BatchResult(entries).tally().items())
-            )
+            tally = Counter(entry.status for entry in entries)
+            counts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
             log.write(f"# done {counts}\n")
-    return BatchResult(entries)
+    return entries
 
 
 def _solve_on_pool(

@@ -47,7 +47,6 @@ class EndpointConfig:
     token_budget: int = 3096  # prompt + completion, at ~4 chars per token
     timeout: float = 120.0
     retries: int = 0
-    headers: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass
@@ -64,18 +63,12 @@ def _estimate_tokens(text: str) -> int:
 
 
 def extract_completion(data: dict) -> str:
-    if isinstance(data.get("choices"), list) and data["choices"]:
-        text = data["choices"][0].get("text")
+    for key in _RESPONSE_PATHS:
+        text = data.get(key)
+        if key in ("choices", "results"):  # lists of {"text": ...}
+            text = text[0].get("text") if isinstance(text, list) and text else None
         if isinstance(text, str):
             return text
-    if isinstance(data.get("results"), list) and data["results"]:
-        text = data["results"][0].get("text")
-        if isinstance(text, str):
-            return text
-    if isinstance(data.get("text"), str):
-        return data["text"]
-    if isinstance(data.get("completion"), str):
-        return data["completion"]
     raise EndpointError(
         "unrecognized response shape; expected one of "
         + ", ".join(f"'{p}'" for p in _RESPONSE_PATHS)
@@ -101,7 +94,6 @@ def run_inference(
     so a long run can be inspected while in flight.
     """
     check_reachable(endpoint)
-    headers = dict(endpoint.headers)
     out_file = open(out_path, "w") if out_path else None
     records: list[InferenceRecord] = []
     try:
@@ -116,7 +108,7 @@ def run_inference(
                     f"prompt alone exceeds the {endpoint.token_budget} token budget",
                 )
             else:
-                record = _query(endpoint, headers, index, prompt, max_tokens)
+                record = _query(endpoint, index, prompt, max_tokens)
             records.append(record)
             if out_file:
                 out_file.write(
@@ -139,11 +131,7 @@ def run_inference(
 
 
 def _query(
-    endpoint: EndpointConfig,
-    headers: dict[str, str],
-    index: int,
-    prompt: str,
-    max_tokens: int,
+    endpoint: EndpointConfig, index: int, prompt: str, max_tokens: int
 ) -> InferenceRecord:
     payload = {
         "prompt": prompt,
@@ -155,7 +143,7 @@ def _query(
     for _attempt in range(endpoint.retries + 1):
         try:
             response = requests.post(
-                endpoint.url, json=payload, headers=headers, timeout=endpoint.timeout
+                endpoint.url, json=payload, timeout=endpoint.timeout
             )
             response.raise_for_status()
             text = extract_completion(response.json())
@@ -260,13 +248,9 @@ def score(entries: list[dict], inferences: list[InferenceRecord]) -> EvalMetrics
         raise ValueError(
             f"{len(entries)} entries but {len(inferences)} inference records"
         )
-    domains: dict[str, object] = {}
     rows: list[dict] = []
     for entry, inference in zip(entries, inferences):
-        domain = domains.get(entry["instruction"])
-        if domain is None:
-            domain = parse_domain(entry["instruction"])
-            domains[entry["instruction"]] = domain
+        domain = parse_domain(entry["instruction"])
         problem = parse_problem(entry["input"], domain)
         row = {
             "domain": domain.name,

@@ -192,13 +192,12 @@ def sample_problem(
 
 @dataclass
 class GenerationResult:
-    count: int
-    new_emissions: int
-    replayed: int
-    draws: int
-    duplicates: int
-    degenerate: int
-    trivial: int
+    new_emissions: int = 0
+    replayed: int = 0
+    draws: int = 0
+    duplicates: int = 0
+    degenerate: int = 0
+    trivial: int = 0
     problem_files: list[Path] = field(default_factory=list)
 
 
@@ -239,10 +238,7 @@ def generate_batch(
             journal.pop()
             journal_path.write_text("".join(fp + "\n" for fp in journal))
 
-    result = GenerationResult(
-        count=count, new_emissions=0, replayed=0, draws=0,
-        duplicates=0, degenerate=0, trivial=0,
-    )
+    result = GenerationResult()
     seen: set[str] = set()
     consecutive_failures = 0
     draw_index = 0
@@ -296,7 +292,8 @@ def generate_batch(
                         "written with a different seed or config; clear the "
                         "session to regenerate"
                     )
-                if not path.exists():
+                # A torn or edited file is rewritten with the replayed bytes.
+                if not path.exists() or path.read_bytes() != text.encode():
                     path.write_text(text)
                 result.replayed += 1
             else:

@@ -62,6 +62,20 @@ class Action:
         return len(self.params)
 
 
+def is_subtype_in(parents: dict[str, str], t: str, ancestor: str) -> bool:
+    """Whether type ``t`` is ``ancestor`` or descends from it, walking the
+    ``parents`` map; a type without a declared parent descends from object."""
+    if ancestor == "object":
+        return True
+    seen = set()
+    while t not in seen:
+        if t == ancestor:
+            return True
+        seen.add(t)
+        t = parents.get(t, "object")
+    return False
+
+
 @dataclass(frozen=True)
 class Domain:
     name: str
@@ -71,12 +85,6 @@ class Domain:
     predicates: tuple[Predicate, ...]
     actions: tuple[Action, ...]
 
-    def predicate(self, name: str) -> Predicate | None:
-        for pred in self.predicates:
-            if pred.name == name:
-                return pred
-        return None
-
     def action(self, name: str) -> Action | None:
         for act in self.actions:
             if act.name == name:
@@ -84,16 +92,7 @@ class Domain:
         return None
 
     def is_subtype(self, t: str, ancestor: str) -> bool:
-        if ancestor == "object":
-            return True
-        parents = dict(self.types)
-        seen = set()
-        while t not in seen:
-            if t == ancestor:
-                return True
-            seen.add(t)
-            t = parents.get(t, "object")
-        return False
+        return is_subtype_in(dict(self.types), t, ancestor)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ lower case before interpretation.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from planforge.pddl.model import (
     Param,
     Predicate,
     Problem,
+    is_subtype_in,
 )
 
 ACCEPTED_REQUIREMENTS = (
@@ -199,15 +201,7 @@ class _TypeOracle:
         return t == "object" or t in self.parents or t in self.parents.values()
 
     def is_subtype(self, t: str, ancestor: str) -> bool:
-        if ancestor == "object":
-            return True
-        seen = set()
-        while t not in seen:
-            if t == ancestor:
-                return True
-            seen.add(t)
-            t = self.parents.get(t, "object")
-        return False
+        return is_subtype_in(self.parents, t, ancestor)
 
 
 _REJECTED_CONNECTIVES = {
@@ -446,7 +440,10 @@ def _parse_action(
     return Action(name, tuple(params), precondition, tuple(effects))
 
 
+@functools.lru_cache(maxsize=8)
 def parse_domain(text: str) -> Domain:
+    """Parse a domain; the result is immutable, so repeated texts are
+    answered from a small memo instead of being parsed again."""
     tree = _read_tree(tokenize(text))
     group = _expect_group(tree, "a domain definition")
     if _head(group) != "define":

@@ -92,11 +92,3 @@ def validate(
             False, "goal_unreached", None, "goal not satisfied after final step", state
         )
     return ValidationResult(True, None, None, f"valid, {len(plan)} step(s)", state)
-
-
-def validity_rate(results: list[ValidationResult]) -> float:
-    """Percentage of valid results, rounded to one decimal place."""
-    if not results:
-        raise ValueError("validity_rate requires at least one result")
-    valid = sum(1 for r in results if r.valid)
-    return round(100.0 * valid / len(results), 1)

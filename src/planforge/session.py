@@ -12,8 +12,8 @@ A session is a self-contained working directory.  Single-domain layout:
       planning.log
       logs/              stage completion markers
 
-A pipeline session nests one such directory per domain and adds dataset/ and
-eval/ at the top.  Every stage writes a completion marker recording a
+A pipeline session nests one such directory per domain and adds dataset/ at
+the top.  Every stage writes a completion marker recording a
 fingerprint of its inputs; reruns skip work that is already done and refuse
 to continue silently when the inputs changed.
 """
@@ -23,15 +23,27 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from planforge.dataset import assemble, audit_leakage, build_records
+from planforge.dataset import (
+    DatasetError,
+    DatasetRecord,
+    assemble,
+    audit_leakage,
+    build_records,
+    per_domain_quotas,
+)
 from planforge.dpgc import load_config
 from planforge.drivers import PlannerAdapter, load_adapters, plan_batch
 from planforge.generate import GenerationError, generate_batch
 from planforge.pddl.model import Domain
 from planforge.pddl.parser import parse_domain
+
+
+# Top-up rounds per domain before run_pipeline gives up on a shortfall.
+MAX_ROUNDS = 10
 
 
 class StageError(RuntimeError):
@@ -83,10 +95,6 @@ class Session:
         return self.root / "dataset"
 
     @property
-    def eval_dir(self) -> Path:
-        return self.root / "eval"
-
-    @property
     def logs_dir(self) -> Path:
         return self.root / "logs"
 
@@ -129,6 +137,16 @@ class Session:
         if not self.domain_path.exists():
             raise StageError(f"session {self.root} has no domain.pddl")
         return parse_domain(self.domain_path.read_text())
+
+
+def load_adapter(name: str, registry: str | Path | None = None) -> PlannerAdapter:
+    """The adapter called ``name`` in ``registry`` (default: the bundled one)."""
+    adapters = load_adapters(registry)
+    if name not in adapters:
+        raise StageError(
+            f"unknown adapter '{name}' (registry has: {', '.join(sorted(adapters))})"
+        )
+    return adapters[name]
 
 
 def stage_generate(
@@ -208,19 +226,35 @@ def stage_plan(
     """Plan every problem that does not have a plan file yet.
 
     Plans are only written if they validate, so rerunning after an
-    interruption picks up exactly the unplanned remainder.
+    interruption picks up exactly the unplanned remainder.  A session keeps
+    the adapter it was first planned with; another one is refused, so that
+    plans from different planners never mix.
     """
     domain = session.load_domain()
     problems = session.problem_paths()
     if not problems:
         raise StageError(f"session {session.root} has no problems to plan")
+    fingerprint = stage_fingerprint(
+        {
+            "stage": "plan",
+            "adapter": adapter.name,
+            "domain": session.domain_path.read_text(),
+        }
+    )
+    marker = session.read_marker("plan")
+    if marker is not None and marker["fingerprint"] != fingerprint:
+        raise StageError(
+            f"session {session.root} was planned with adapter "
+            f"'{marker['adapter']}', not '{adapter.name}'; use a fresh session "
+            "directory"
+        )
     pending = [
         p for p in problems if not (session.plans_dir / f"{p.stem}.plan").exists()
     ]
     attempted = len(pending)
-    tally: dict[str, int] = {}
+    entries = []
     if pending:
-        result = plan_batch(
+        entries = plan_batch(
             adapter,
             domain,
             session.domain_path,
@@ -230,16 +264,9 @@ def stage_plan(
             workers=workers,
             log_path=session.planning_log,
         )
-        tally = result.tally()
+    tally = dict(Counter(entry.status for entry in entries))
     planned = sum(
         1 for p in problems if (session.plans_dir / f"{p.stem}.plan").exists()
-    )
-    fingerprint = stage_fingerprint(
-        {
-            "stage": "plan",
-            "adapter": adapter.name,
-            "domain": session.domain_path.read_text(),
-        }
     )
     session.write_marker(
         "plan",
@@ -266,15 +293,11 @@ def collect_records(session: Session):
 
 
 def stage_assemble(
-    domain_sessions: list[Session],
+    records: list[DatasetRecord],
     quotas: dict[str, int],
     seed: int | str,
     out_dir: str | Path,
 ) -> dict:
-    records = []
-    for sub in domain_sessions:
-        subrecords, _skipped = collect_records(sub)
-        records.extend(subrecords)
     try:
         manifest = assemble(records, quotas, seed, out_dir)
     except ValueError as err:
@@ -317,44 +340,31 @@ def load_pipeline_config(path: str | Path) -> dict:
     return data
 
 
-def run_pipeline(
-    config: dict, root: str | Path, *, max_rounds: int = 10
-) -> dict:
+def run_pipeline(config: dict, root: str | Path) -> dict:
     """Generate, plan, top up shortfalls, assemble, audit.
 
     Each domain is generated and planned in its own sub-session.  When fewer
     usable (problem, plan) pairs exist than the quotas require, the target
     count is raised by the missing amount and the generate/plan stages run
-    again, at most ``max_rounds`` times.
+    again, at most ``MAX_ROUNDS`` times.
     """
     root = Path(root)
     pipeline = Session(root)
     seed = config["seed"]
-    adapters = load_adapters(config.get("adapters_file"))
-    adapter_name = config["adapter"]
-    if adapter_name not in adapters:
-        raise StageError(
-            f"unknown adapter '{adapter_name}' "
-            f"(registry has: {', '.join(sorted(adapters))})"
-        )
-    adapter = adapters[adapter_name]
+    adapter = load_adapter(config["adapter"], config.get("adapters_file"))
     quotas = {name: int(v) for name, v in config["quotas"].items()}
-    n_domains = len(config["domains"])
-    needed_per_domain = 0
-    for name, quota in quotas.items():
-        if quota % n_domains != 0:
-            raise StageError(
-                f"split '{name}' quota {quota} does not divide evenly "
-                f"across {n_domains} domain(s)"
-            )
-        needed_per_domain += quota // n_domains
+    try:
+        needed_per_domain = sum(
+            per_domain_quotas(quotas, len(config["domains"])).values()
+        )
+    except DatasetError as err:
+        raise StageError(str(err)) from err
 
-    summary: dict = {"domains": {}, "rounds": {}}
-    domain_sessions: list[Session] = []
+    summary: dict = {"domains": {}}
+    all_records: list[DatasetRecord] = []
     for entry in config["domains"]:
         domain_name = parse_domain(Path(entry["domain"]).read_text()).name
         sub = Session(root / domain_name)
-        domain_sessions.append(sub)
         target = int(entry["count"])
         usable = 0
         rounds = 0
@@ -371,12 +381,13 @@ def run_pipeline(
             usable = len(records)
             if usable >= needed_per_domain:
                 break
-            if rounds >= max_rounds:
+            if rounds >= MAX_ROUNDS:
                 raise StageError(
                     f"domain '{domain_name}': still {needed_per_domain - usable} "
                     f"record(s) short after {rounds} round(s)"
                 )
             target += needed_per_domain - usable
+        all_records.extend(records)
         summary["domains"][domain_name] = {
             "target": target,
             "usable": usable,
@@ -386,14 +397,14 @@ def run_pipeline(
             "rounds": rounds,
         }
 
-    manifest = stage_assemble(domain_sessions, quotas, seed, pipeline.dataset_dir)
+    manifest = stage_assemble(all_records, quotas, seed, pipeline.dataset_dir)
     summary["dataset"] = manifest["counts"]
     fingerprint = stage_fingerprint(
         {
             "stage": "pipeline",
             "seed": str(seed),
             "quotas": quotas,
-            "adapter": adapter_name,
+            "adapter": adapter.name,
             "domains": [
                 Path(e["domain"]).read_text() + Path(e["dpgc"]).read_text()
                 for e in config["domains"]

@@ -190,23 +190,13 @@ def test_assemble_revalidation_gate(tmp_path, corpus):
     bad = [broken] + records[1:]
     with pytest.raises(DatasetError, match="invalid plan"):
         assemble(bad, {"train": 2}, 0, tmp_path / "gate")
-    # the gate can be skipped, e.g. to re-split already-audited records
-    assemble(bad, {"train": 2}, 0, tmp_path / "open", revalidate=False)
 
 
-def test_assemble_parses_each_domain_once(tmp_path, corpus, monkeypatch):
-    import planforge.dataset as dataset
-
-    calls = []
-
-    def counting_parse(text):
-        calls.append(text)
-        return parse_domain(text)
-
-    monkeypatch.setattr(dataset, "parse_domain", counting_parse)
+def test_assemble_parses_each_domain_once(tmp_path, corpus):
     records = balanced(corpus)
+    parse_domain.cache_clear()
     assemble(records, {"train": 2}, 0, tmp_path / "ok")
-    assert len(calls) == 2
+    assert parse_domain.cache_info().misses == 2
     # every record is still revalidated, not just each domain's first
     broken = dataclasses.replace(records[-1], output="(release gripper1 gripper2)\n")
     with pytest.raises(DatasetError, match="invalid plan"):

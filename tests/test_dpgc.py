@@ -12,7 +12,6 @@ from planforge.dpgc import (
     load_config,
     parse_config,
     parse_ground_atom,
-    serialize_config,
     validate_against_domain,
 )
 from planforge.pddl import parse_domain
@@ -189,17 +188,6 @@ def test_parse_ground_atom():
 def test_diagnostic_format():
     d = Diagnostic("config.object_pools[0].id", "error", "boom")
     assert str(d) == "config.object_pools[0].id: error: boom"
-
-
-def test_serialize_round_trip(artic3_config, artic3m_config):
-    for cfg in (artic3_config, artic3m_config, parse_config(json.dumps(BASE))):
-        text = serialize_config(cfg)
-        assert parse_config(text) == cfg
-    # defaults are left out of the rendered form
-    rendered = json.loads(serialize_config(parse_config(json.dumps(BASE))))
-    assert "probability" not in rendered["variable_init"][0]["atoms"][0]
-    assert "count" not in rendered["variable_init"][0]
-    assert rendered["variable_goal"][0]["count"] == 2
 
 
 def test_validate_against_domain_errors(artic3):

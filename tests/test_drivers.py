@@ -328,10 +328,9 @@ def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
         adapters["internal"], artic3, domain_path, problems,
         root / "plans", log_path=root / "planning.log",
     )
-    assert len(result.entries) == 6
-    assert result.solved == 6
-    assert result.shortfall == 0
-    for entry in result.entries:
+    assert len(result) == 6
+    assert [entry.status for entry in result] == ["solved"] * 6
+    for entry in result:
         assert entry.plan_path.exists()
         assert entry.plan_length >= 1
     log_lines = (root / "planning.log").read_text().splitlines()
@@ -353,10 +352,9 @@ def test_plan_batch_rejects_invalid_plans(tmp_path, artic3, artic3_domain_text,
     )
     result = plan_batch(adapter, artic3, domain_path, [problem_path],
                         tmp_path / "plans", log_path=tmp_path / "planning.log")
-    (entry,) = result.entries
+    (entry,) = result
     assert entry.status == "invalid"
     assert entry.plan_path is None
-    assert result.shortfall == 1
     assert not list((tmp_path / "plans").iterdir())
     assert " invalid " in (tmp_path / "planning.log").read_text()
 
@@ -374,8 +372,8 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
                      root / "plans-seq")
     par = plan_batch(adapters["internal"], artic3, domain_path, problems,
                      root / "plans-par", workers=4)
-    seq_plans = {e.problem_id: e.plan_path.read_text() for e in seq.entries}
-    par_plans = {e.problem_id: e.plan_path.read_text() for e in par.entries}
+    seq_plans = {e.problem_id: e.plan_path.read_text() for e in seq}
+    par_plans = {e.problem_id: e.plan_path.read_text() for e in par}
     assert seq_plans == par_plans
 
 
@@ -391,9 +389,9 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
                         root / "plans-pool", workers=2)
     spawned = plan_batch(subprocess_refplan(), artic3, domain_path, problems,
                          root / "plans-subprocess", workers=2)
-    assert [e.status for e in pooled.entries] == [e.status for e in spawned.entries]
-    assert pooled.solved > 0
-    for ours, theirs in zip(pooled.entries, spawned.entries):
+    assert [e.status for e in pooled] == [e.status for e in spawned]
+    assert any(e.status == "solved" for e in pooled)
+    for ours, theirs in zip(pooled, spawned):
         if ours.plan_path is not None:
             assert ours.plan_path.read_bytes() == theirs.plan_path.read_bytes()
     assert multiprocessing.active_children() == []
@@ -413,7 +411,7 @@ def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3, artic3_domain_text,
     result = plan_batch(load_adapters()["internal"], artic3, domain_path,
                         [stuck, problem_path], tmp_path / "plans", timeout=timeout)
     elapsed = time.monotonic() - start
-    stuck_entry, micro_entry = result.entries
+    stuck_entry, micro_entry = result
     assert stuck_entry.status == "timeout"
     assert timeout + drivers._KILL_GRACE_S <= stuck_entry.wall_time
     assert stuck_entry.wall_time < timeout + drivers._KILL_GRACE_S + 1
@@ -448,6 +446,6 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
         worker.kill()
     batch.join(timeout=60)
     assert not batch.is_alive()
-    solved, killed = results[0].entries
+    solved, killed = results[0]
     assert (solved.status, killed.status) == ("solved", "crashed")
     assert multiprocessing.active_children() == []

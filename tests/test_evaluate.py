@@ -166,6 +166,11 @@ def test_score_classifies_failures(artic3_domain_text, micro_text):
         "goal_unreached": 1,
     }
     assert list(metrics.per_domain) == ["artic3"]
+    # the percentage is rounded to one decimal
+    for outputs, validity in (([MICRO_PLAN, None, None], 33.3),
+                              ([MICRO_PLAN, MICRO_PLAN, None], 66.7)):
+        metrics = build_metrics(artic3_domain_text, micro_text, outputs)
+        assert metrics.mixed.validity == validity
 
 
 def test_score_stats_match_hand_computation(artic3_domain_text, micro_text):

@@ -289,9 +289,15 @@ def test_batch_rewrites_missing_problem_files_on_replay(tmp_path, artic3, artic3
     victim = root / "problems" / problem_file_name("artic3", 5)
     original = victim.read_text()
     victim.unlink()
-    generate_batch(artic3_config, artic3, 8, 3,
-                   root / "problems", root / "journal.fp")
+    # a torn write leaves a file that exists but differs from the emission
+    torn = root / "problems" / problem_file_name("artic3", 6)
+    torn_original = torn.read_bytes()
+    torn.write_bytes(torn_original[: len(torn_original) // 2])
+    result = generate_batch(artic3_config, artic3, 8, 3,
+                            root / "problems", root / "journal.fp")
+    assert result.replayed == 8
     assert victim.read_text() == original
+    assert torn.read_bytes() == torn_original
 
 
 def test_batch_detects_seed_mismatch(tmp_path, artic3, artic3_config):

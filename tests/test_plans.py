@@ -10,7 +10,6 @@ from planforge.plans import (
     parse_plan,
     render_plan,
     validate,
-    validity_rate,
 )
 
 
@@ -140,13 +139,3 @@ def test_verdicts_match_simulation_on_random_plans(artic3, micro):
         assert got.valid == expected_valid, steps
         assert got.failure_kind == expected_kind, steps
         assert got.failure_step == expected_step, steps
-
-
-def test_validity_rate_rounding(artic3, micro, micro_plan_text):
-    ok = validate(artic3, micro, micro_plan_text)
-    bad = validate(artic3, micro, "(grasp gripper1)\n")
-    assert validity_rate([ok, bad, bad]) == 33.3
-    assert validity_rate([ok, ok, bad]) == 66.7
-    assert validity_rate([ok]) == 100.0
-    with pytest.raises(ValueError):
-        validity_rate([])

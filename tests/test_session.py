@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from planforge import assets_dir
+from planforge.dataset import build_records
 from planforge.drivers import load_adapters
 from planforge.session import (
     Session,
@@ -133,6 +135,11 @@ def test_stage_plan_solves_and_resumes(planned_session):
     assert again["attempted"] == 0
     assert again["planned"] == 8
     assert again["shortfall"] == 0
+    # plans from another planner never join the session's
+    other = dataclasses.replace(load_adapters()["internal"], name="other")
+    with pytest.raises(StageError, match="planned with adapter 'internal'"):
+        stage_plan(session, other)
+    assert session.read_marker("plan")["adapter"] == "internal"
 
 
 def test_stage_plan_requires_problems(tmp_path):
@@ -155,15 +162,16 @@ def test_stage_assemble_writes_and_audits(tmp_path, planned_session):
     records, _ = collect_records(planned_session)
     usable = len(records) - (len(records) % 2)
     quotas = {"train": usable - 2, "val": 2}
-    manifest = stage_assemble([planned_session], quotas, 7, tmp_path / "dataset")
+    manifest = stage_assemble(records, quotas, 7, tmp_path / "dataset")
     assert manifest["counts"]["train"] == usable - 2
     assert (tmp_path / "dataset" / "train.json").exists()
     assert (tmp_path / "dataset" / "manifest.json").exists()
 
 
 def test_stage_assemble_surfaces_quota_errors(tmp_path, planned_session):
+    records, _ = collect_records(planned_session)
     with pytest.raises(StageError, match="quotas require"):
-        stage_assemble([planned_session], {"train": 100}, 7, tmp_path / "d")
+        stage_assemble(records, {"train": 100}, 7, tmp_path / "d")
 
 
 def write_pipeline_config(tmp_path, **overrides):
@@ -209,10 +217,21 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
         load_pipeline_config(tmp_path / "absent.json")
 
 
-def test_run_pipeline_end_to_end(tmp_path):
+def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
+    import planforge.session as session_module
+
+    builds = []
+
+    def counting_build_records(*args):
+        builds.append(args)
+        return build_records(*args)
+
+    monkeypatch.setattr(session_module, "build_records", counting_build_records)
     path = write_pipeline_config(tmp_path)
     config = load_pipeline_config(path)
     summary = run_pipeline(config, tmp_path / "run")
+    # records are built once per round, and assembly reuses the last round's
+    assert len(builds) == sum(info["rounds"] for info in summary["domains"].values())
     assert set(summary["domains"]) == {"artic3", "artic3m"}
     for info in summary["domains"].values():
         assert info["usable"] >= 5  # 8 train + 2 val over 2 domains
@@ -244,3 +263,4 @@ def test_run_pipeline_rejects_indivisible_quota(tmp_path):
     config = load_pipeline_config(path)
     with pytest.raises(StageError, match="does not divide evenly"):
         run_pipeline(config, tmp_path / "run")
+    assert not (tmp_path / "run").exists()  # refused before any work
