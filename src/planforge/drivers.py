@@ -40,12 +40,11 @@ from pathlib import Path
 
 from planforge import assets_dir
 from planforge.pddl.ground import (
-    apply_effects,
-    first_failure,
-    goal_satisfied,
+    holds,
     iter_applicable_candidates,
+    static_predicates,
 )
-from planforge.pddl.model import Domain, Problem
+from planforge.pddl.model import EQ, Domain, GroundAction, Literal, Problem, State
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanStep, parse_plan, render_plan, validate
 
@@ -321,13 +320,27 @@ def reference_plan(
     ExpansionBudgetExceeded when the search grows past ``max_expansions``
     dequeued states, and TimeoutError when ``time.monotonic()`` has passed
     ``deadline``, checked after grounding and every 64 expansions.
+
+    The candidates of ``iter_applicable_candidates`` are compiled once into
+    frozensets of atoms (see ``_compile``).  Every static and ``=`` literal,
+    in preconditions, effect conditions and the goal, is decided against the
+    initial state first, so testing a candidate is two set operations and a
+    successor is ``(state - deletes) | adds``.
     """
-    candidates = list(iter_applicable_candidates(domain, problem))
-    start = problem.init
-    if goal_satisfied(start, problem.goal):
+    statics = static_predicates(domain)
+    init = problem.init
+    # Drained before compiling, so that grounding is timed on its own.
+    ground = list(iter_applicable_candidates(domain, problem))
+    candidates = [_compile(action, statics, init) for action in ground]
+    goal_statics_hold, goal_pos, goal_neg = _fold(problem.goal, statics, init)
+
+    def is_goal(state: State) -> bool:
+        return goal_statics_hold and goal_pos <= state and goal_neg.isdisjoint(state)
+
+    if is_goal(init):
         return []
-    visited: dict = {start: None}
-    queue: deque = deque([start])
+    visited: dict = {init: None}
+    queue: deque = deque([init])
     expansions = 0
     while queue:
         state = queue.popleft()
@@ -338,24 +351,72 @@ def reference_plan(
             )
         if deadline is not None and expansions % 64 == 1 and time.monotonic() > deadline:
             raise TimeoutError(f"deadline passed after {expansions} expansions")
-        for action in candidates:
-            if first_failure(state, action.precondition) is not None:
+        for step, pos, neg, deletes, adds, branches in candidates:
+            if not (pos <= state and neg.isdisjoint(state)):
                 continue
-            successor = apply_effects(state, action)
+            if branches:
+                deletes, adds = set(deletes), set(adds)
+                for when_pos, when_neg, when_deletes, when_adds in branches:
+                    if when_pos <= state and when_neg.isdisjoint(state):
+                        deletes |= when_deletes
+                        adds |= when_adds
+            successor = (state - deletes) | adds
             if successor in visited:
                 continue
-            visited[successor] = (state, action)
-            if goal_satisfied(successor, problem.goal):
+            visited[successor] = (state, step)
+            if is_goal(successor):
                 steps: list[PlanStep] = []
                 cursor = successor
                 while visited[cursor] is not None:
-                    prev, act = visited[cursor]
-                    steps.append((act.name,) + act.args)
-                    cursor = prev
+                    cursor, taken = visited[cursor]
+                    steps.append(taken)
                 steps.reverse()
                 return steps
             queue.append(successor)
     return None
+
+
+def _fold(
+    condition: tuple[Literal, ...], statics: frozenset[str], init: State
+) -> tuple[bool, frozenset, frozenset]:
+    """A conjunction as (whether its static and ``=`` literals hold, its
+    other positive atoms, its other negative atoms).  Static atoms never
+    change, so whether they hold in the initial state decides every state."""
+    holds_statically, pos, neg = True, set(), set()
+    for literal in condition:
+        if literal.atom[0] == EQ or literal.atom[0] in statics:
+            holds_statically = holds_statically and holds(init, literal)
+        elif literal.positive:
+            pos.add(literal.atom)
+        else:
+            neg.add(literal.atom)
+    return holds_statically, frozenset(pos), frozenset(neg)
+
+
+def _compile(action: GroundAction, statics: frozenset[str], init: State) -> tuple:
+    """A candidate as (plan step, precondition atoms that must hold, ones
+    that must not, unconditional deletes, unconditional adds, conditional
+    branches).  Grounding has checked the static precondition already.  A
+    branch whose static condition fails never fires and is dropped; one with
+    nothing left to test is unconditional.  The rest stay as (atoms that
+    must hold, ones that must not, deletes, adds), tested on the pre-state."""
+    _, pos, neg = _fold(action.precondition, statics, init)
+    deletes: set = set()
+    adds: set = set()
+    branches = []
+    for branch in action.effects:
+        fires, when_pos, when_neg = _fold(branch.condition, statics, init)
+        if not fires:
+            continue
+        if when_pos or when_neg:
+            branches.append(
+                (when_pos, when_neg, frozenset(branch.deletes), frozenset(branch.adds))
+            )
+        else:
+            deletes.update(branch.deletes)
+            adds.update(branch.adds)
+    step = (action.name,) + action.args
+    return step, pos, neg, frozenset(deletes), frozenset(adds), tuple(branches)
 
 
 @dataclass(frozen=True)
@@ -404,8 +465,16 @@ def plan_batch(
         steps = parse_plan(result.plan_text)
         if not validate(domain, problem, steps).valid:
             return BatchEntry(pid, "invalid", result.wall_time, None, None)
+        # Through a temporary file, so that a plan file is whole or absent:
+        # stage_plan counts any plan file as done.
         plan_path = plans_dir / f"{pid}.plan"
-        plan_path.write_text(render_plan(steps))
+        partial = plans_dir / f".{pid}.plan.tmp"
+        try:
+            partial.write_text(render_plan(steps))
+            os.replace(partial, plan_path)
+        except OSError:
+            partial.unlink(missing_ok=True)
+            raise
         return BatchEntry(pid, "solved", result.wall_time, len(steps), plan_path)
 
     # Each plan is kept as soon as its result arrives, so an interrupted

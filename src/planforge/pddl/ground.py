@@ -13,13 +13,13 @@ from collections.abc import Iterator
 
 from planforge.pddl.model import (
     EQ,
+    Atom,
     Domain,
     GroundAction,
     Literal,
     Problem,
     State,
     ground_schema,
-    substitute,
 )
 from planforge.pddl.writer import render_literal
 
@@ -101,7 +101,7 @@ def ground_action_for(
             "bad_arity",
             f"action '{name}' expects {action.arity} argument(s), got {len(args)}",
         )
-    object_type = dict(problem.objects)
+    object_type = problem.object_types
     for arg, param in zip(args, action.params):
         if arg not in object_type:
             raise GroundingError("type_error", f"unknown object '{arg}'")
@@ -129,36 +129,89 @@ def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[Gro
     whose static precondition atoms are false in the initial state.  Statics
     never change, so skipped instantiations are inapplicable in every
     reachable state and the relative order of applicable actions is kept.
+
+    Parameters are bound one at a time, in declaration order.  Each static
+    or ``=`` precondition literal is compiled to a tuple of argument slots
+    and checked against the initial state as soon as its last parameter is
+    bound.  When a positive static literal's last parameter is the next one
+    to bind, that parameter's values come from an index of the initial
+    facts of the literal's predicate, keyed by the literal's other terms and
+    kept in pool order, instead of from the parameter's whole type pool:
+    ``(next-cw ?from ?to)`` yields the one ``?to`` after ``?from``.
     """
     statics = static_predicates(domain)
     init = problem.init
+    facts: dict[str, list[Atom]] = {}
+    for atom in init:
+        facts.setdefault(atom[0], []).append(atom)
+    pools: dict[str, list[str]] = {}
+    indexes: dict[tuple, dict[tuple[str, ...], list[str]]] = {}
+
+    def pool(type_name: str) -> list[str]:
+        if type_name not in pools:
+            pools[type_name] = problem.objects_of_type(domain, type_name)
+        return pools[type_name]
+
+    def index(pred: str, key_at: tuple[int, ...], value_at: int, type_name: str):
+        """Values at ``value_at`` of ``pred``'s initial facts that are in the
+        pool of ``type_name``, in pool order, keyed by the terms at ``key_at``."""
+        key = (pred, key_at, value_at, type_name)
+        if key not in indexes:
+            rank = {obj: i for i, obj in enumerate(pool(type_name))}
+            found: dict[tuple[str, ...], set[str]] = {}
+            for atom in facts.get(pred, ()):
+                if atom[value_at] in rank:
+                    found.setdefault(tuple(atom[i] for i in key_at), set()).add(
+                        atom[value_at]
+                    )
+            indexes[key] = {k: sorted(v, key=rank.__getitem__) for k, v in found.items()}
+        return indexes[key]
+
     for action in domain.actions:
-        pools = [problem.objects_of_type(domain, p.type) for p in action.params]
-        index_of = {p.name: i for i, p in enumerate(action.params)}
-        # buckets[k] holds static literals fully bound once k params are bound
-        buckets: list[list[Literal]] = [[] for _ in range(action.arity + 1)]
+        arity = action.arity
+        slot_of = {t: i for i, t in enumerate(action.terms)}
+        # values[:arity] holds the arguments bound so far, the rest constants.
+        values = list(action.terms)
+        # checks[k]: (predicate, term slots, positive) of each static literal
+        # whose terms are all bound once k parameters are bound
+        checks: list[list[tuple[str, tuple[int, ...], bool]]] = [
+            [] for _ in range(arity + 1)
+        ]
         for literal in action.precondition:
-            if literal.atom[0] != EQ and literal.atom[0] not in statics:
+            pred = literal.atom[0]
+            if pred != EQ and pred not in statics:
                 continue
-            depth = max(
-                (index_of[t] + 1 for t in literal.atom[1:] if t in index_of),
-                default=0,
-            )
-            buckets[depth].append(literal)
+            slots = tuple(slot_of[t] for t in literal.atom[1:])
+            depth = max((s + 1 for s in slots if s < arity), default=0)
+            checks[depth].append((pred, slots, literal.positive))
+        # sources[k]: where parameter k's values come from
+        sources: list[tuple[dict | None, tuple[int, ...], list[str]]] = []
+        for k, param in enumerate(action.params):
+            source = (None, (), pool(param.type))
+            for pred, slots, positive in checks[k + 1]:
+                if positive and pred != EQ:
+                    key_at = tuple(i + 1 for i, s in enumerate(slots) if s != k)
+                    found = index(pred, key_at, slots.index(k) + 1, param.type)
+                    source = (found, tuple(slots[i - 1] for i in key_at), [])
+                    break
+            sources.append(source)
 
-        def walk(depth: int, binding: dict[str, str]) -> Iterator[GroundAction]:
-            for literal in buckets[depth]:
-                ground = Literal(substitute(literal.atom, binding), literal.positive)
-                if not holds(init, ground):
+        def walk(depth: int) -> Iterator[GroundAction]:
+            for pred, slots, positive in checks[depth]:
+                if pred == EQ:
+                    true = values[slots[0]] == values[slots[1]]
+                else:
+                    true = (pred, *[values[s] for s in slots]) in init
+                if true != positive:
                     return
-            if depth == action.arity:
-                args = tuple(binding[p.name] for p in action.params)
-                yield ground_schema(action, args)
+            if depth == arity:
+                yield ground_schema(action, tuple(values[:arity]))
                 return
-            param = action.params[depth]
-            for obj in pools[depth]:
-                binding[param.name] = obj
-                yield from walk(depth + 1, binding)
-                del binding[param.name]
+            found, key_slots, objs = sources[depth]
+            if found is not None:
+                objs = found.get(tuple([values[s] for s in key_slots]), ())
+            for obj in objs:
+                values[depth] = obj
+                yield from walk(depth + 1)
 
-        yield from walk(0, {})
+        yield from walk(0)

@@ -8,6 +8,7 @@ States are frozensets of ground atoms under the closed-world assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 Atom = tuple[str, ...]
 State = frozenset[Atom]
@@ -61,6 +62,43 @@ class Action:
     def arity(self) -> int:
         return len(self.params)
 
+    @cached_property
+    def terms(self) -> tuple[str, ...]:
+        """The parameter names in order, then every other term of the schema's
+        atoms; ``ground_schema`` fills the first ``arity`` with arguments."""
+        terms = [p.name for p in self.params]
+        atoms = [l.atom for l in self.precondition]
+        for branch in self.effects:
+            atoms += [l.atom for l in branch.condition] + list(branch.adds + branch.deletes)
+        for atom in atoms:
+            for term in atom[1:]:
+                if term not in terms:
+                    terms.append(term)
+        return tuple(terms)
+
+    @cached_property
+    def template(self) -> tuple:
+        """The schema with each term replaced by its index in ``terms``:
+        (precondition, effects), literals as (predicate, indexes, positive),
+        atoms as (predicate, indexes), branches as (condition, adds, deletes)."""
+        slot = {t: i for i, t in enumerate(self.terms)}
+
+        def atom(a: Atom) -> tuple[str, tuple[int, ...]]:
+            return a[0], tuple(slot[t] for t in a[1:])
+
+        def literals(ls: tuple[Literal, ...]) -> tuple:
+            return tuple(atom(l.atom) + (l.positive,) for l in ls)
+
+        effects = tuple(
+            (
+                literals(b.condition),
+                tuple(atom(a) for a in b.adds),
+                tuple(atom(a) for a in b.deletes),
+            )
+            for b in self.effects
+        )
+        return literals(self.precondition), effects
+
 
 def is_subtype_in(parents: dict[str, str], t: str, ancestor: str) -> bool:
     """Whether type ``t`` is ``ancestor`` or descends from it, walking the
@@ -91,8 +129,12 @@ class Domain:
                 return act
         return None
 
+    @cached_property
+    def type_parents(self) -> dict[str, str]:
+        return dict(self.types)
+
     def is_subtype(self, t: str, ancestor: str) -> bool:
-        return is_subtype_in(dict(self.types), t, ancestor)
+        return is_subtype_in(self.type_parents, t, ancestor)
 
 
 @dataclass(frozen=True)
@@ -108,6 +150,10 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(sorted(self.objects)))
         object.__setattr__(self, "init", frozenset(self.init))
+
+    @cached_property
+    def object_types(self) -> dict[str, str]:
+        return dict(self.objects)
 
     def objects_of_type(self, domain: Domain, type_name: str) -> list[str]:
         return [name for name, t in self.objects if domain.is_subtype(t, type_name)]
@@ -125,23 +171,22 @@ class GroundAction:
         return "(" + " ".join((self.name,) + self.args) + ")"
 
 
-def substitute(atom: Atom, binding: dict[str, str]) -> Atom:
-    return tuple(binding.get(term, term) for term in atom)
-
-
 def ground_schema(action: Action, args: tuple[str, ...]) -> GroundAction:
     """Instantiate a schema with concrete arguments, one per parameter."""
-    binding = {p.name: a for p, a in zip(action.params, args)}
-    pre = tuple(Literal(substitute(l.atom, binding), l.positive) for l in action.precondition)
-    effects = []
-    for branch in action.effects:
-        effects.append(
-            EffectBranch(
-                condition=tuple(
-                    Literal(substitute(l.atom, binding), l.positive) for l in branch.condition
-                ),
-                adds=tuple(substitute(a, binding) for a in branch.adds),
-                deletes=tuple(substitute(a, binding) for a in branch.deletes),
-            )
-        )
-    return GroundAction(action.name, args, pre, tuple(effects))
+    precondition, effects = action.template
+    values = tuple(args) + action.terms[action.arity :]
+    return GroundAction(
+        action.name,
+        args,
+        tuple([Literal((p, *[values[i] for i in at]), pos) for p, at, pos in precondition]),
+        tuple(
+            [
+                EffectBranch(
+                    tuple([Literal((p, *[values[i] for i in at]), pos) for p, at, pos in cond]),
+                    tuple([(p, *[values[i] for i in at]) for p, at in adds]),
+                    tuple([(p, *[values[i] for i in at]) for p, at in deletes]),
+                )
+                for cond, adds, deletes in effects
+            ]
+        ),
+    )

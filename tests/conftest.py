@@ -58,6 +58,57 @@ MICRO_PLAN = """\
 """
 
 
+# One parameterless action whose effects test the transition rules: (q) is
+# static, the other branch conditions are not.
+CASCADE = """
+(define (domain cascade)
+  (:requirements :strips :conditional-effects)
+  (:predicates (p) (q) (r) (s))
+  (:action fire
+    :parameters ()
+    :precondition (p)
+    :effect (and (not (p))
+                 (when (p) (and (r)))
+                 (when (q) (and (p)))
+                 (when (r) (and (s))))))
+"""
+
+
+# Static joins the artic3 domains never use: a repeated parameter, an
+# (adj ?a ?b) over objects that action parameters narrow to subtypes, a
+# negative static literal, = and a static predicate without init facts;
+# (marked ?y) is a negative precondition the search must test.
+EDGES = """
+(define (domain edges)
+  (:requirements :strips :typing :negative-preconditions :equality)
+  (:types block place - object heavy - block)
+  (:predicates (adj ?a - object ?b - object) (on ?b - block ?p - place)
+               (marked ?b - block) (blocked ?b - block))
+  (:action loop
+    :parameters (?x - block ?y - block)
+    :precondition (and (adj ?x ?x) (adj ?x ?y) (not (= ?x ?y)) (not (marked ?y)))
+    :effect (and (marked ?x)))
+  (:action move-heavy
+    :parameters (?h - heavy ?from ?to - place)
+    :precondition (and (on ?h ?from) (adj ?from ?to) (not (adj ?to ?from)))
+    :effect (and (on ?h ?to) (not (on ?h ?from))))
+  (:action stuck
+    :parameters (?b - block ?p - place)
+    :precondition (and (on ?b ?p) (blocked ?b))
+    :effect (and (not (marked ?b)))))
+"""
+
+EDGES_PROBLEM = """
+(define (problem edges-1) (:domain edges)
+  (:objects b1 b2 b3 - block h1 h2 - heavy p1 p2 p3 - place)
+  (:init (adj b1 b1) (adj b2 b2) (adj h1 h1) (adj p1 p1)
+         (adj b1 b2) (adj b1 h1) (adj b1 p1) (adj b2 b1) (adj h1 b2) (adj h1 b3)
+         (adj p1 p2) (adj p2 p1) (adj p2 p3) (adj p3 h2)
+         (on h1 p1) (on h2 p2) (on b1 p3))
+  (:goal {goal}))
+"""
+
+
 @pytest.fixture(scope="session")
 def micro_plan_text() -> str:
     return MICRO_PLAN

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written from the semantics directly, on plain dicts,
-sets and loops, sharing no transition or statistics code with the package.
-It consumes parsed model objects only as passive data.
+Everything here except ``literal_bfs`` is written from the semantics
+directly, on plain dicts, sets and loops, sharing no transition or
+statistics code with the package.  It consumes parsed model objects only as
+passive data.
 """
 
 from __future__ import annotations
@@ -195,6 +196,47 @@ def sim_shortest_plan(domain, problem, limit=200000):
                 plan.reverse()
                 return plan
             frontier.append(nxt)
+    return None
+
+
+def literal_bfs(domain, problem):
+    """The package's breadth-first search before it compiled its candidates:
+    ``iter_applicable_candidates`` in order, each precondition tested literal
+    by literal against every expanded state and applied with
+    ``apply_effects``.  It pins ``reference_plan``'s tie-breaking: both must
+    return the same plan, or None."""
+    from planforge.pddl.ground import (
+        apply_effects,
+        first_failure,
+        goal_satisfied,
+        iter_applicable_candidates,
+    )
+
+    candidates = list(iter_applicable_candidates(domain, problem))
+    start = problem.init
+    if goal_satisfied(start, problem.goal):
+        return []
+    visited = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for action in candidates:
+            if first_failure(state, action.precondition) is not None:
+                continue
+            successor = apply_effects(state, action)
+            if successor in visited:
+                continue
+            visited[successor] = (state, action)
+            if goal_satisfied(successor, problem.goal):
+                steps = []
+                cursor = successor
+                while visited[cursor] is not None:
+                    prev, act = visited[cursor]
+                    steps.append((act.name,) + act.args)
+                    cursor = prev
+                steps.reverse()
+                return steps
+            queue.append(successor)
     return None
 
 

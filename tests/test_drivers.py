@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MICRO_PLAN, make_stub_adapter
-from oracle import sim_shortest_plan, sim_validate
-from planforge import drivers
+from conftest import CASCADE, EDGES, EDGES_PROBLEM, MICRO_PLAN, make_stub_adapter
+from oracle import literal_bfs, sim_shortest_plan, sim_validate
+from planforge import assets_dir, drivers
 from planforge.drivers import (
     AdapterError,
     ExpansionBudgetExceeded,
@@ -28,7 +28,8 @@ from planforge.drivers import (
     solve,
 )
 from planforge.generate import generate_batch
-from planforge.pddl import parse_problem
+from planforge.pddl import parse_domain, parse_problem
+from planforge.session import Session, stage_generate, stage_plan
 
 
 def test_bundled_registry_loads():
@@ -315,6 +316,70 @@ def test_reference_plan_budget(artic3, micro):
         reference_plan(artic3, micro, deadline=time.monotonic() - 1)
 
 
+def test_search_matches_the_literal_search_on_generated_problems(
+    tmp_path, artic3, artic3m, artic3_config, artic3m_config
+):
+    plans = []
+    for domain, config in ((artic3, artic3_config), (artic3m, artic3m_config)):
+        root = tmp_path / domain.name
+        generate_batch(config, domain, 15, 8, root / "problems", root / "journal.fp")
+        for path in sorted((root / "problems").iterdir()):
+            problem = parse_problem(path.read_text(), domain)
+            plan = reference_plan(domain, problem)
+            assert plan == literal_bfs(domain, problem), path.name
+            plans.append(plan)
+    assert len(plans) == 30
+    assert any(len(plan) > 1 for plan in plans)
+
+
+def test_search_matches_the_literal_search_on_conditional_effects():
+    # (q) is static, so its branch is folded away or made unconditional;
+    # the branches on (p) and (r) stay conditional
+    domain = parse_domain(CASCADE)
+    outcomes = []
+    for init in ("", "(p)", "(p) (q)", "(p) (r)", "(p) (q) (r)", "(q) (r)"):
+        for goal in ("(s)", "(and (r) (not (p)))", "(and (p) (s))", "(not (p))"):
+            problem = parse_problem(
+                f"(define (problem c) (:domain cascade) (:objects) (:init {init}) "
+                f"(:goal {goal}))",
+                domain,
+            )
+            plan = reference_plan(domain, problem)
+            assert plan == literal_bfs(domain, problem), (init, goal)
+            outcomes.append(None if plan is None else len(plan))
+    assert {None, 0, 1} <= set(outcomes)
+
+
+def test_search_matches_the_literal_search_on_negative_preconditions():
+    domain = parse_domain(EDGES)
+    lengths = []
+    for goal in ("(and (marked b1) (marked b2))", "(on h2 p3)", "(on h1 p3)"):
+        problem = parse_problem(EDGES_PROBLEM.format(goal=goal), domain)
+        plan = reference_plan(domain, problem)
+        assert plan == literal_bfs(domain, problem), goal
+        lengths.append(None if plan is None else len(plan))
+    assert lengths == [2, 1, None]
+
+
+@pytest.mark.parametrize("extra_goal, solvable", [
+    ("(not (= gripper1 gripper2))", True),
+    ("(= link1 link1)", True),
+    ("(= gripper1 gripper2)", False),
+    ("(not (current-angle link3 a90))", True),
+    ("(not (adjacent link2 link3))", False),
+])
+def test_search_matches_the_literal_search_on_static_goals(
+    artic3, micro_text, extra_goal, solvable
+):
+    goal_at = micro_text.index("(:goal (and") + len("(:goal (and")
+    problem = parse_problem(
+        micro_text[:goal_at] + f" {extra_goal}" + micro_text[goal_at:], artic3
+    )
+    plan = reference_plan(artic3, problem)
+    assert plan == literal_bfs(artic3, problem)
+    assert (plan is not None) == solvable
+
+
 def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
                                            artic3_config):
     root = tmp_path / "s"
@@ -449,3 +514,31 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     solved, killed = results[0]
     assert (solved.status, killed.status) == ("solved", "crashed")
     assert multiprocessing.active_children() == []
+
+
+def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
+    session = Session(tmp_path / "artic3")
+    stage_generate(session, assets_dir() / "artic3.dpgc.json",
+                   assets_dir() / "artic3.pddl", 3, 17)
+    internal = load_adapters()["internal"]
+    write_text = Path.write_text
+
+    def torn(path, data, *args, **kwargs):
+        # the disk fills up halfway through the first plan
+        if path.parent == session.plans_dir:
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError, match="no space left"):
+        stage_plan(session, internal, workers=1)
+    monkeypatch.undo()
+    assert list(session.plans_dir.iterdir()) == []
+
+    result = stage_plan(session, internal, workers=1)
+    assert result["attempted"] == 3
+    assert result["planned"] == 3
+    assert sorted(p.name for p in session.plans_dir.iterdir()) == [
+        f"{p.stem}.plan" for p in session.problem_paths()
+    ]

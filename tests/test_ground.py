@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from conftest import CASCADE, EDGES, EDGES_PROBLEM
 from oracle import (
     sim_apply,
     sim_ground_all,
@@ -13,6 +15,7 @@ from oracle import (
 )
 from planforge.pddl import (
     GroundingError,
+    Literal,
     PreconditionError,
     apply_action,
     apply_effects,
@@ -66,6 +69,28 @@ def test_candidate_stream_is_ordered_subset(artic3, micro):
     ]
 
 
+def test_indexed_grounding_matches_the_oracle_on_edge_cases():
+    domain = parse_domain(EDGES)
+    # a constant term, which the parser does not accept in a domain
+    loop = domain.actions[0]
+    loop = dataclasses.replace(
+        loop, precondition=loop.precondition + (Literal(("adj", "?y", "b2")),)
+    )
+    domain = dataclasses.replace(domain, actions=(loop,) + domain.actions[1:])
+    problem = parse_problem(EDGES_PROBLEM.format(goal="(marked b1)"), domain)
+
+    def fields(action):
+        return (action.name, action.args, action.precondition, action.effects)
+
+    candidates = list(iter_applicable_candidates(domain, problem))
+    expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
+    assert [fields(c) for c in candidates] == [fields(a) for a in expected]
+    assert [c.signature for c in candidates] == [
+        "(loop b1 b2)", "(loop b1 h1)", "(loop b2 b1)", "(loop h1 b2)",
+        "(move-heavy h1 p2 p3)", "(move-heavy h2 p2 p3)",
+    ]
+
+
 def test_static_predicates(artic3):
     assert static_predicates(artic3) == frozenset(
         {"adjacent", "downstream", "is-rotatable", "next-cw"}
@@ -101,20 +126,6 @@ def test_transition_map_matches_simulation(artic3, micro):
                 assert sim_apply(state, action) is None
             else:
                 assert apply_action(state, action) == expected
-
-
-CASCADE = """
-(define (domain cascade)
-  (:requirements :strips :conditional-effects)
-  (:predicates (p) (q) (r) (s))
-  (:action fire
-    :parameters ()
-    :precondition (p)
-    :effect (and (not (p))
-                 (when (p) (and (r)))
-                 (when (q) (and (p)))
-                 (when (r) (and (s))))))
-"""
 
 
 def cascade_setup(init_atoms):
