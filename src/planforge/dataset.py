@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from planforge.generate import fingerprint_problem
+from planforge.pddl.model import Domain, Problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
 
@@ -28,24 +30,39 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetRecord:
+    """One sample.  Its parsed domain and problem and its fingerprint are
+    computed once, when first read, from the exact text that ships."""
+
     domain_name: str
     problem_id: str
     instruction: str  # domain text
     input: str  # problem text
     output: str  # plan text
-    fingerprint: str
+
+    @cached_property
+    def domain(self) -> Domain:
+        return parse_domain(self.instruction)
+
+    @cached_property
+    def problem(self) -> Problem:
+        return parse_problem(self.input, self.domain)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return fingerprint_problem(self.problem)
 
 
 def build_records(
     domain_path: str | Path, problem_paths: list[Path], plans_dir: str | Path
 ) -> tuple[list[DatasetRecord], list[str]]:
-    """Pair problems with their plan files.
+    """Pair problems with their plan files; nothing is parsed but the
+    domain, for its name.
 
     Problems without a plan file, or with an empty plan (trivial goals), are
     skipped and reported so the caller can regenerate replacements.
     """
     domain_text = Path(domain_path).read_text()
-    domain = parse_domain(domain_text)
+    domain_name = parse_domain(domain_text).name
     plans_dir = Path(plans_dir)
     records: list[DatasetRecord] = []
     skipped: list[str] = []
@@ -59,16 +76,13 @@ def build_records(
         if not plan_text.strip():
             skipped.append(pid)
             continue
-        problem_text = problem_path.read_text()
-        problem = parse_problem(problem_text, domain)
         records.append(
             DatasetRecord(
-                domain_name=domain.name,
+                domain_name=domain_name,
                 problem_id=pid,
                 instruction=domain_text,
-                input=problem_text,
+                input=problem_path.read_text(),
                 output=plan_text,
-                fingerprint=fingerprint_problem(problem),
             )
         )
     return records, skipped
@@ -83,9 +97,7 @@ def to_alpaca(records: list[DatasetRecord]) -> list[dict[str, str]]:
 
 def _revalidate(record: DatasetRecord) -> None:
     try:
-        domain = parse_domain(record.instruction)
-        problem = parse_problem(record.input, domain)
-        outcome = validate(domain, problem, record.output)
+        outcome = validate(record.domain, record.problem, record.output)
     except ValueError as err:
         raise DatasetError(f"record '{record.problem_id}' does not parse: {err}") from err
     if not outcome.valid:
@@ -143,6 +155,10 @@ def assemble(
                     f"record '{record.problem_id}' has an empty '{key}' field"
                 )
 
+    # Before the fingerprints, so that an input that does not parse says so.
+    for record in records:
+        _revalidate(record)
+
     by_fp: dict[str, str] = {}
     for record in records:
         if record.fingerprint in by_fp:
@@ -151,9 +167,6 @@ def assemble(
                 f"'{by_fp[record.fingerprint]}'"
             )
         by_fp[record.fingerprint] = record.problem_id
-
-    for record in records:
-        _revalidate(record)
 
     total_needed = sum(need_per_domain.values())
     for domain in domains:

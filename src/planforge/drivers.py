@@ -10,11 +10,12 @@ exit, spawn failure or output the dialect cannot normalize maps to
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses, and
-``plan_batch`` runs those solves on a pool of spawned worker processes.
+``plan_batch`` runs every adapter's solves on a pool of spawned workers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -27,18 +28,13 @@ import tempfile
 import time
 from collections import Counter, deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
 from pathlib import Path
 
-from planforge import assets_dir
+from planforge import assets_dir, atomic_write
 from planforge.pddl.ground import (
     holds,
     iter_applicable_candidates,
@@ -111,9 +107,8 @@ class PlannerAdapter:
 
 @dataclass(frozen=True)
 class SolveResult:
-    status: str  # solved | no_solution | timeout | crashed
+    status: str  # solved | invalid | no_solution | timeout | crashed
     plan_text: str | None
-    raw_output: str
     wall_time: float
     detail: str = ""
 
@@ -233,7 +228,7 @@ def solve(
             )
         except OSError as err:
             wall = time.perf_counter() - start
-            return SolveResult("crashed", None, "", wall, f"spawn failure: {err}")
+            return SolveResult("crashed", None, wall, f"spawn failure: {err}")
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -242,21 +237,22 @@ def solve(
             _kill_group(proc.pid)  # nothing the planner started outlives it
         wall = time.perf_counter() - start
         if stdout is None:
-            proc.communicate()
-            return SolveResult("timeout", None, "", wall, f"killed after {timeout}s")
+            # Not communicate(): a process that left the planner's group can
+            # hold its pipes open for as long as it lives.
+            proc.stdout.close()
+            proc.stderr.close()
+            proc.wait()
+            return SolveResult("timeout", None, wall, f"killed after {timeout}s")
 
-        raw = stdout + stderr
-        lowered = raw.lower()
+        lowered = (stdout + stderr).lower()
         if any(marker in lowered for marker in _NO_PLAN_MARKERS):
-            return SolveResult("no_solution", None, raw, wall)
+            return SolveResult("no_solution", None, wall)
         if proc.returncode != 0:
-            return SolveResult(
-                "crashed", None, raw, wall, f"exit code {proc.returncode}"
-            )
+            return SolveResult("crashed", None, wall, f"exit code {proc.returncode}")
         if adapter.output == "file":
             if not output_path.exists():
                 return SolveResult(
-                    "crashed", None, raw, wall, "exited 0 but wrote no plan file"
+                    "crashed", None, wall, "exited 0 but wrote no plan file"
                 )
             payload = output_path.read_text()
         else:
@@ -265,8 +261,8 @@ def solve(
             plan_text = normalize_output(payload, adapter.dialect)
             parse_plan(plan_text)
         except ValueError as err:
-            return SolveResult("crashed", None, raw, wall, str(err))
-        return SolveResult("solved", plan_text, raw, wall)
+            return SolveResult("crashed", None, wall, str(err))
+        return SolveResult("solved", plan_text, wall)
 
 
 def _kill_group(pgid: int) -> None:
@@ -301,8 +297,8 @@ def _solve_in_process(
             plan_text = render_plan(plan)
     wall = time.perf_counter() - start
     if status == "timeout" or time.monotonic() > deadline:
-        return SolveResult("timeout", None, "", wall, f"deadline of {timeout}s passed")
-    return SolveResult(status, plan_text, "", wall, detail)
+        return SolveResult("timeout", None, wall, f"deadline of {timeout}s passed")
+    return SolveResult(status, plan_text, wall, detail)
 
 
 def reference_plan(
@@ -419,18 +415,8 @@ def _compile(action: GroundAction, statics: frozenset[str], init: State) -> tupl
     return step, pos, neg, frozenset(deletes), frozenset(adds), tuple(branches)
 
 
-@dataclass(frozen=True)
-class BatchEntry:
-    problem_id: str
-    status: str  # solved | invalid | no_solution | timeout | crashed
-    wall_time: float
-    plan_length: int | None
-    plan_path: Path | None
-
-
 def plan_batch(
     adapter: PlannerAdapter,
-    domain: Domain,
     domain_path: str | Path,
     problem_paths: list[Path],
     plans_dir: str | Path,
@@ -438,73 +424,56 @@ def plan_batch(
     timeout: float | None = None,
     workers: int = 1,
     log_path: str | Path | None = None,
-) -> list[BatchEntry]:
+) -> list[SolveResult]:
     """Solve a set of problems and keep only plans that validate exactly;
-    returns one entry per problem, in order.
+    returns one result per problem, in order.
 
-    Up to ``workers`` problems are solved at a time: on spawned worker
-    processes when the adapter runs in-process, else on threads that each
-    wait for a planner subprocess.  Spawned workers import the caller's
-    main module, so a script calling this needs the usual
-    ``if __name__ == "__main__":`` guard.  Validation and plan files stay
-    in the calling process.  A solved-but-invalid plan is counted as ``invalid``
-    and contributes to the shortfall; its plan file is not written.  The log
-    has one line per problem: id, status, wall time, plan length (``-`` when
-    there is none).
+    Up to ``workers`` problems are solved at a time on spawned worker
+    processes, whatever the adapter (see ``_solve_on_pool``), so a script
+    calling this needs the usual ``if __name__ == "__main__":`` guard.  Each
+    result is kept in the calling process as it arrives: a plan that
+    validates against ``domain_path`` is written whole to
+    ``<problem>.plan`` and becomes the result's ``plan_text``; one that does
+    not is ``invalid``, with the validator's message as detail.  The log
+    gets one line per problem as it is kept: id, status, wall time, plan
+    length (``-`` when there is none).
     """
     plans_dir = Path(plans_dir)
     plans_dir.mkdir(parents=True, exist_ok=True)
+    domain = parse_domain(Path(domain_path).read_text())
     timeout = timeout if timeout is not None else adapter.timeout
     workers = max(1, min(workers, len(problem_paths)))
 
-    def keep(problem_path: Path, result: SolveResult) -> BatchEntry:
-        pid = problem_path.stem
+    def keep(problem_path: Path, result: SolveResult) -> SolveResult:
         if result.status != "solved":
-            return BatchEntry(pid, result.status, result.wall_time, None, None)
+            return result
         problem = parse_problem(problem_path.read_text(), domain)
         steps = parse_plan(result.plan_text)
-        if not validate(domain, problem, steps).valid:
-            return BatchEntry(pid, "invalid", result.wall_time, None, None)
-        # Through a temporary file, so that a plan file is whole or absent:
-        # stage_plan counts any plan file as done.
-        plan_path = plans_dir / f"{pid}.plan"
-        partial = plans_dir / f".{pid}.plan.tmp"
-        try:
-            partial.write_text(render_plan(steps))
-            os.replace(partial, plan_path)
-        except OSError:
-            partial.unlink(missing_ok=True)
-            raise
-        return BatchEntry(pid, "solved", result.wall_time, len(steps), plan_path)
+        outcome = validate(domain, problem, steps)
+        if not outcome.valid:
+            return SolveResult("invalid", None, result.wall_time, outcome.message)
+        plan_text = render_plan(steps)
+        # stage_plan counts any plan file as done, so it must be whole.
+        atomic_write(plans_dir / f"{problem_path.stem}.plan", plan_text)
+        return dataclasses.replace(result, plan_text=plan_text)
 
-    # Each plan is kept as soon as its result arrives, so an interrupted
-    # batch leaves every plan solved so far on disk.
-    entries: list[BatchEntry | None] = [None] * len(problem_paths)
-    if runs_in_process(adapter):
+    results: list[SolveResult | None] = [None] * len(problem_paths)
+    with open(log_path if log_path is not None else os.devnull, "a") as log:
+        log.write(f"# plan adapter={adapter.name} problems={len(problem_paths)}\n")
         for index, result in _solve_on_pool(
             adapter, domain_path, problem_paths, timeout, workers
         ):
-            entries[index] = keep(problem_paths[index], result)
-    else:
-        def work(problem_path: Path) -> BatchEntry:
-            result = solve(adapter, domain_path, problem_path, timeout=timeout)
-            return keep(problem_path, result)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(work, problem_paths))
-
-    if log_path is not None:
-        with open(log_path, "a") as log:
-            log.write(f"# plan adapter={adapter.name} problems={len(problem_paths)}\n")
-            for entry in entries:
-                length = entry.plan_length if entry.plan_length is not None else "-"
-                log.write(
-                    f"{entry.problem_id} {entry.status} {entry.wall_time:.3f} {length}\n"
-                )
-            tally = Counter(entry.status for entry in entries)
-            counts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-            log.write(f"# done {counts}\n")
-    return entries
+            result = results[index] = keep(problem_paths[index], result)
+            length = "-" if result.plan_text is None else result.plan_text.count("\n")
+            log.write(
+                f"{problem_paths[index].stem} {result.status} "
+                f"{result.wall_time:.3f} {length}\n"
+            )
+            log.flush()
+        tally = Counter(result.status for result in results)
+        counts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
+        log.write(f"# done {counts}\n")
+    return results
 
 
 def _solve_on_pool(
@@ -579,7 +548,7 @@ def _drain(
             except BrokenProcessPool as err:
                 broken = True
                 result = SolveResult(
-                    "crashed", None, "", time.monotonic() - t0, f"worker died: {err}"
+                    "crashed", None, time.monotonic() - t0, f"worker died: {err}"
                 )
             yield index, result
         now = time.monotonic()
@@ -587,7 +556,7 @@ def _drain(
         for future in overdue:
             index, t0 = running.pop(future)
             yield index, SolveResult(
-                "timeout", None, "", now - t0, f"worker killed after {limit}s"
+                "timeout", None, now - t0, f"worker killed after {limit}s"
             )
         if broken or overdue:
             todo.extendleft(sorted((i for i, _ in running.values()), reverse=True))

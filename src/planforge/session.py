@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from planforge import atomic_write
 from planforge.dataset import (
     DatasetError,
     DatasetRecord,
@@ -38,7 +39,6 @@ from planforge.dataset import (
 from planforge.dpgc import load_config
 from planforge.drivers import PlannerAdapter, load_adapters, plan_batch
 from planforge.generate import GenerationError, generate_batch
-from planforge.pddl.model import Domain
 from planforge.pddl.parser import parse_domain
 
 
@@ -110,7 +110,8 @@ class Session:
     def write_marker(self, stage: str, fingerprint: str, **extra) -> None:
         self.logs_dir.mkdir(parents=True, exist_ok=True)
         payload = {"stage": stage, "fingerprint": fingerprint, **extra}
-        self.marker_path(stage).write_text(json.dumps(payload, indent=2) + "\n")
+        # Whole or absent: a torn marker would fail every later resume.
+        atomic_write(self.marker_path(stage), json.dumps(payload, indent=2) + "\n")
 
     def problem_paths(self) -> list[Path]:
         if not self.problems_dir.is_dir():
@@ -132,11 +133,6 @@ class Session:
             return
         self.root.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(source, dest)
-
-    def load_domain(self) -> Domain:
-        if not self.domain_path.exists():
-            raise StageError(f"session {self.root} has no domain.pddl")
-        return parse_domain(self.domain_path.read_text())
 
 
 def load_adapter(name: str, registry: str | Path | None = None) -> PlannerAdapter:
@@ -165,7 +161,7 @@ def stage_generate(
     session.adopt_input(config_path, session.config_path)
     session.adopt_input(domain_path, session.domain_path)
     config = load_config(session.config_path)
-    domain = session.load_domain()
+    domain = parse_domain(session.domain_path.read_text())
 
     fingerprint = stage_fingerprint(
         {
@@ -230,7 +226,8 @@ def stage_plan(
     the adapter it was first planned with; another one is refused, so that
     plans from different planners never mix.
     """
-    domain = session.load_domain()
+    if not session.domain_path.exists():
+        raise StageError(f"session {session.root} has no domain.pddl")
     problems = session.problem_paths()
     if not problems:
         raise StageError(f"session {session.root} has no problems to plan")
@@ -256,7 +253,6 @@ def stage_plan(
     if pending:
         entries = plan_batch(
             adapter,
-            domain,
             session.domain_path,
             pending,
             session.plans_dir,

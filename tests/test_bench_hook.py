@@ -8,9 +8,15 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from planforge import assets_dir
+from planforge import session as session_module
+from planforge.drivers import load_adapters, solve
+from planforge.session import Session, stage_generate, stage_plan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,6 +40,38 @@ def test_every_traced_layer_exists(hook):
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
             traced.add(name)
     assert set(hook.INFO) | set(hook.KEYS) <= traced
+
+
+def test_solve_key_names_the_problem(hook, tmp_path):
+    assert list(inspect.signature(solve).parameters)[2] == "problem_path"
+    problem_path = tmp_path / "artic3_000001.pddl"
+    problem_path.write_text((assets_dir() / "artic3_micro.pddl").read_text())
+    # the arguments plan_batch's workers pass
+    call = inspect.signature(solve).bind(
+        load_adapters()["internal"], assets_dir() / "artic3.pddl", problem_path,
+        timeout=5.0,
+    )
+    assert solve(*call.args, **call.kwargs).status == "solved"
+    assert hook.KEYS["solve"](call.args) == "artic3_000001"
+
+
+def test_info_reads_real_results(hook, tmp_path, monkeypatch):
+    generated = []
+    generate_batch = session_module.generate_batch
+
+    def keep_result(*args, **kwargs):
+        generated.append(generate_batch(*args, **kwargs))
+        return generated[-1]
+
+    monkeypatch.setattr(session_module, "generate_batch", keep_result)
+    session = Session(tmp_path / "micro")
+    stage_generate(session, assets_dir() / "artic3.dpgc.json",
+                   assets_dir() / "artic3.pddl", 2, 7)
+    planned = stage_plan(session, load_adapters()["internal"])
+    info = hook.INFO["generate_batch"](generated[0])
+    assert (info["new"], info["replayed"]) == (2, 0)
+    assert info["draws"] >= 2
+    assert hook.INFO["stage_plan"](planned) == {"attempted": 2, "solved": 2}
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("*.py")))

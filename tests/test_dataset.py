@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from planforge import assets_dir
+from planforge import assets_dir, dataset
 from planforge.dataset import (
     ALPACA_KEYS,
     DatasetError,
@@ -193,7 +193,8 @@ def test_assemble_revalidation_gate(tmp_path, corpus):
 
 
 def test_assemble_parses_each_domain_once(tmp_path, corpus):
-    records = balanced(corpus)
+    # fresh records: the shared ones keep what earlier tests parsed
+    records = [dataclasses.replace(r) for r in balanced(corpus)]
     parse_domain.cache_clear()
     assemble(records, {"train": 2}, 0, tmp_path / "ok")
     assert parse_domain.cache_info().misses == 2
@@ -201,6 +202,26 @@ def test_assemble_parses_each_domain_once(tmp_path, corpus):
     broken = dataclasses.replace(records[-1], output="(release gripper1 gripper2)\n")
     with pytest.raises(DatasetError, match="invalid plan"):
         assemble(records[:-1] + [broken], {"train": 2}, 0, tmp_path / "gate")
+
+
+def test_build_and_assemble_parse_each_problem_once(tmp_path, corpus, monkeypatch):
+    parsed = []
+
+    def counting_parse_problem(text, domain):
+        parsed.append(text)
+        return parse_problem(text, domain)
+
+    monkeypatch.setattr(dataset, "parse_problem", counting_parse_problem)
+    records = []
+    for name in ("artic3", "artic3m"):
+        src = corpus["root"] / name
+        built, _ = build_records(
+            src / "domain.pddl", sorted((src / "problems").iterdir()), src / "plans"
+        )
+        records += built[:12]
+    assert parsed == []
+    assemble(records, {"train": 16, "val": 8}, 5, tmp_path)
+    assert sorted(parsed) == sorted(r.input for r in records)
 
 
 def test_audit_clean_dataset(tmp_path, corpus):

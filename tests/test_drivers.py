@@ -5,6 +5,8 @@ import functools
 import json
 import multiprocessing
 import os
+import shutil
+import signal
 import sys
 import threading
 import time
@@ -390,14 +392,14 @@ def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
     adapters = load_adapters()
     problems = sorted((root / "problems").iterdir())
     result = plan_batch(
-        adapters["internal"], artic3, domain_path, problems,
+        adapters["internal"], domain_path, problems,
         root / "plans", log_path=root / "planning.log",
     )
     assert len(result) == 6
     assert [entry.status for entry in result] == ["solved"] * 6
-    for entry in result:
-        assert entry.plan_path.exists()
-        assert entry.plan_length >= 1
+    for problem, entry in zip(problems, result):
+        assert (root / "plans" / f"{problem.stem}.plan").read_text() == entry.plan_text
+        assert entry.plan_text.count("\n") >= 1
     log_lines = (root / "planning.log").read_text().splitlines()
     assert log_lines[0] == "# plan adapter=internal problems=6"
     assert log_lines[-1] == "# done solved=6"
@@ -408,18 +410,18 @@ def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
         int(length)
 
 
-def test_plan_batch_rejects_invalid_plans(tmp_path, artic3, artic3_domain_text,
-                                          micro_text):
+def test_plan_batch_rejects_invalid_plans(tmp_path, artic3_domain_text, micro_text):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     # the stub returns a well-formed but wrong plan: preconditions fail
     adapter = make_stub_adapter(
         tmp_path, "open(OUTPUT, 'w').write('(release gripper1 gripper2)\\n')\n",
     )
-    result = plan_batch(adapter, artic3, domain_path, [problem_path],
+    result = plan_batch(adapter, domain_path, [problem_path],
                         tmp_path / "plans", log_path=tmp_path / "planning.log")
     (entry,) = result
     assert entry.status == "invalid"
-    assert entry.plan_path is None
+    assert entry.plan_text is None
+    assert entry.detail.startswith("step 0: ")
     assert not list((tmp_path / "plans").iterdir())
     assert " invalid " in (tmp_path / "planning.log").read_text()
 
@@ -433,13 +435,15 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
     domain_path.write_text(artic3_domain_text)
     adapters = load_adapters()
     problems = sorted((root / "problems").iterdir())
-    seq = plan_batch(adapters["internal"], artic3, domain_path, problems,
+    seq = plan_batch(adapters["internal"], domain_path, problems,
                      root / "plans-seq")
-    par = plan_batch(adapters["internal"], artic3, domain_path, problems,
+    par = plan_batch(adapters["internal"], domain_path, problems,
                      root / "plans-par", workers=4)
-    seq_plans = {e.problem_id: e.plan_path.read_text() for e in seq}
-    par_plans = {e.problem_id: e.plan_path.read_text() for e in par}
-    assert seq_plans == par_plans
+    for problem in problems:
+        plan = f"{problem.stem}.plan"
+        assert (root / "plans-seq" / plan).read_text() == (
+            root / "plans-par" / plan).read_text()
+    assert [e.plan_text for e in seq] == [e.plan_text for e in par]
 
 
 def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domain_text,
@@ -450,30 +454,31 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
     domain_path = root / "domain.pddl"
     domain_path.write_text(artic3_domain_text)
     problems = sorted((root / "problems").iterdir())
-    pooled = plan_batch(load_adapters()["internal"], artic3, domain_path, problems,
+    pooled = plan_batch(load_adapters()["internal"], domain_path, problems,
                         root / "plans-pool", workers=2)
-    spawned = plan_batch(subprocess_refplan(), artic3, domain_path, problems,
+    spawned = plan_batch(subprocess_refplan(), domain_path, problems,
                          root / "plans-subprocess", workers=2)
     assert [e.status for e in pooled] == [e.status for e in spawned]
     assert any(e.status == "solved" for e in pooled)
-    for ours, theirs in zip(pooled, spawned):
-        if ours.plan_path is not None:
-            assert ours.plan_path.read_bytes() == theirs.plan_path.read_bytes()
+    for problem, ours in zip(problems, pooled):
+        if ours.plan_text is not None:
+            plan = f"{problem.stem}.plan"
+            assert (root / "plans-pool" / plan).read_bytes() == (
+                root / "plans-subprocess" / plan).read_bytes()
     assert multiprocessing.active_children() == []
     if Path("/proc/self/stat").exists():
         assert _live_children() == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3, artic3_domain_text,
-                                         micro_text):
+def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_text):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     # opening a named pipe nobody writes to blocks the worker before search
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
     timeout = 0.5
     start = time.monotonic()
-    result = plan_batch(load_adapters()["internal"], artic3, domain_path,
+    result = plan_batch(load_adapters()["internal"], domain_path,
                         [stuck, problem_path], tmp_path / "plans", timeout=timeout)
     elapsed = time.monotonic() - start
     stuck_entry, micro_entry = result
@@ -488,14 +493,14 @@ def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3, artic3_domain_text,
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
-    tmp_path, artic3, artic3_domain_text, micro_text
+    tmp_path, artic3_domain_text, micro_text
 ):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
     results = []
     batch = threading.Thread(target=lambda: results.append(plan_batch(
-        load_adapters()["internal"], artic3, domain_path, [problem_path, stuck],
+        load_adapters()["internal"], domain_path, [problem_path, stuck],
         tmp_path / "plans", timeout=60,
     )))
     batch.start()
@@ -542,3 +547,61 @@ def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
     assert sorted(p.name for p in session.plans_dir.iterdir()) == [
         f"{p.stem}.plan" for p in session.problem_paths()
     ]
+
+
+def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch):
+    session = Session(tmp_path / "artic3")
+    stage_generate(session, assets_dir() / "artic3.dpgc.json",
+                   assets_dir() / "artic3.pddl", 3, 17)
+    first, *_ = session.problem_paths()
+    write_text = Path.write_text
+    plan_writes = []
+
+    def fails_second(path, data, *args, **kwargs):
+        if path.parent == session.plans_dir:
+            plan_writes.append(path)
+            if len(plan_writes) == 2:
+                raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fails_second)
+    with pytest.raises(OSError, match="no space left"):
+        stage_plan(session, load_adapters()["internal"], workers=1)
+    monkeypatch.undo()
+    assert (session.plans_dir / f"{first.stem}.plan").exists()
+    lines = session.planning_log.read_text().splitlines()
+    assert lines[0] == "# plan adapter=internal problems=3"
+    pid, status, wall, length = lines[1].split()
+    assert (pid, status) == (first.stem, "solved")
+    float(wall)
+    assert int(length) >= 1
+
+
+@pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid")
+def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
+                                                 micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    pid_file = tmp_path / "escaped.pid"
+    # the sleep leaves the planner's session, out of reach of its group kill,
+    # and keeps the planner's stdout open
+    adapter = PlannerAdapter(
+        name="escapes", executable="sh",
+        args=("-c", 'setsid sleep 20 & echo $! > "$0"; wait', str(pid_file)),
+        timeout=0.5,
+    )
+    start = time.monotonic()
+    try:
+        (entry,) = plan_batch(adapter, domain_path, [problem_path], tmp_path / "plans")
+        elapsed = time.monotonic() - start
+    finally:
+        if pid_file.exists():
+            try:
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert entry.status == "timeout"
+    assert elapsed < adapter.timeout + drivers._KILL_GRACE_S + 5
+    # the planner's own timeout answered, so no worker (and no other
+    # problem's planner with it) was killed
+    assert entry.detail == f"killed after {adapter.timeout}s"
+    assert multiprocessing.active_children() == []

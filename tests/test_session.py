@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,28 @@ def test_marker_round_trip(tmp_path):
     session.write_marker("generate", "abc123", count=5)
     marker = session.read_marker("generate")
     assert marker == {"stage": "generate", "fingerprint": "abc123", "count": 5}
+
+
+def test_torn_marker_write_leaves_a_resumable_session(tmp_path, monkeypatch):
+    session = Session(tmp_path / "s")
+    write_text = Path.write_text
+
+    def torn(path, data, *args, **kwargs):
+        # the disk fills up halfway through the stage marker
+        if path.parent == session.logs_dir:
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError, match="no space left"):
+        stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 5)
+    monkeypatch.undo()
+    assert list(session.logs_dir.iterdir()) == []
+
+    result = stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 5)
+    assert (result["new"], result["replayed"]) == (0, 3)
+    assert session.read_marker("generate")["count"] == 3
 
 
 def test_stage_fingerprint_is_order_insensitive():
