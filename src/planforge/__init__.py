@@ -11,12 +11,15 @@ def assets_dir() -> Path:
     return Path(__file__).resolve().parent / "assets"
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: through a temporary
+def atomic_write(path: Path, data: str | bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all: through a temporary
     file beside it, renamed over ``path``, and removed if the write fails."""
     partial = path.with_name(f".{path.name}.tmp")
     try:
-        partial.write_text(text)
+        if isinstance(data, bytes):
+            partial.write_bytes(data)
+        else:
+            partial.write_text(data)
         os.replace(partial, path)
     except OSError:
         partial.unlink(missing_ok=True)

@@ -29,6 +29,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """A whole number of zero or more, as an argparse type."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be zero or more, not {value}")
+    return value
+
+
 def cmd_gen_problems(args) -> int:
     from planforge.session import Session, stage_generate
 
@@ -236,8 +244,8 @@ def build_parser() -> _Parser:
     p.add_argument("--temperature", type=float, default=0.01)
     p.add_argument("--token-budget", type=int, default=3096)
     p.add_argument("--timeout", type=float, default=120.0)
-    p.add_argument("--retries", type=int, default=0)
-    p.add_argument("--limit", type=int, default=None, help="evaluate first N only")
+    p.add_argument("--retries", type=_count, default=0)
+    p.add_argument("--limit", type=_count, default=None, help="evaluate first N only")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="run generate/plan/assemble end to end")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from planforge import atomic_write
 from planforge.generate import fingerprint_problem
 from planforge.pddl.model import Domain, Problem
 from planforge.pddl.parser import parse_domain, parse_problem
@@ -134,6 +135,10 @@ def assemble(
 ) -> dict:
     """Write quota-exact split files plus spillover and a manifest.
 
+    Each file is written whole or not at all, the manifest last.  Files that
+    the previous manifest in ``out_dir`` lists and this run does not write
+    are deleted, so that an audit sees only this run's splits.
+
     Raises DatasetError on bad quotas (see ``per_domain_quotas``), empty
     fields, duplicate problems, plans that do not revalidate, or unmet
     quotas.
@@ -219,19 +224,25 @@ def assemble(
             "ids": [r.problem_id for r in chosen],
             "fingerprints": [r.fingerprint for r in chosen],
         }
-        (out_dir / f"{name}.json").write_text(
-            json.dumps(to_alpaca(chosen), indent=2) + "\n"
+        atomic_write(
+            out_dir / f"{name}.json", json.dumps(to_alpaca(chosen), indent=2) + "\n"
         )
     if spillover:
-        (out_dir / "spillover.json").write_text(
-            json.dumps(to_alpaca(spillover), indent=2) + "\n"
+        atomic_write(
+            out_dir / "spillover.json",
+            json.dumps(to_alpaca(spillover), indent=2) + "\n",
         )
         manifest["splits"]["spillover"] = {
             "count": len(spillover),
             "ids": [r.problem_id for r in spillover],
             "fingerprints": [r.fingerprint for r in spillover],
         }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path = out_dir / "manifest.json"
+    if manifest_path.exists():
+        listed = set(json.loads(manifest_path.read_text())["files"].values())
+        for name in listed - set(manifest["files"].values()):
+            (out_dir / Path(name).name).unlink(missing_ok=True)
+    atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 

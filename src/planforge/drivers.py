@@ -9,14 +9,14 @@ exit, spawn failure or output the dialect cannot normalize maps to
 
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
-``reference_plan`` in-process instead, with the same statuses, and
-``plan_batch`` runs every adapter's solves on a pool of spawned workers.
+``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
+runs every solve on a spawned worker, replaced alone if it hangs or dies.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -27,11 +27,10 @@ import sys
 import tempfile
 import time
 from collections import Counter, deque
-from collections.abc import Callable, Iterator
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Iterator
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from planforge import assets_dir, atomic_write
@@ -486,82 +485,81 @@ def _solve_on_pool(
     """``solve`` every problem on up to ``workers`` spawned processes,
     yielding (problem index, result) as each result arrives.
 
-    Workers are children of this process and are joined before the last
-    result is yielded, so their CPU time is this process's children's.  A
-    worker that has not answered ``_KILL_GRACE_S`` past the timeout is
-    killed with the rest of its pool and its problem is reported
-    ``timeout``; a worker that dies takes its pool down and its problem is
-    ``crashed``.  Either way the other problems in flight are submitted
-    again to a fresh pool.
+    A worker holds one problem at a time, whose clock starts when it is
+    sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed and
+    its problem is ``timeout``; one that dies leaves its problem
+    ``crashed``.  Only that worker is replaced; other problems run on.
+    Workers are joined before this returns, so their CPU time is this
+    process's children's; idle ones are told to exit first, so that their
+    exit handlers run.
     """
-    todo = deque(range(len(problem_paths)))
-    job = functools.partial(solve, adapter, domain_path, timeout=timeout)
     context = multiprocessing.get_context("spawn")
+    limit = timeout + _KILL_GRACE_S
+    todo = deque(range(len(problem_paths)))
+    idle: list = []  # (process, connection) of workers waiting for a problem
+    busy: dict = {}  # connection -> (process, problem index, sent at)
     try:
-        while todo:
-            size = min(workers, len(todo))
-            with ProcessPoolExecutor(size, mp_context=context) as pool:
-                yield from _drain(
-                    pool, size, job, problem_paths, todo, timeout + _KILL_GRACE_S
+        while todo or busy:
+            while todo and len(busy) < workers:
+                if idle:
+                    process, conn = idle.pop()
+                else:
+                    conn, child_end = context.Pipe()
+                    args = (child_end, adapter, domain_path, timeout)
+                    process = context.Process(target=_work, args=args, daemon=True)
+                    process.start()
+                    child_end.close()  # so that the worker's death reads as EOF
+                if not process.is_alive():  # it died idle; start another
+                    _stop(process, conn)
+                    continue
+                conn.send(problem_paths[todo[0]])
+                busy[conn] = (process, todo.popleft(), time.monotonic())
+            oldest = min(sent for _, _, sent in busy.values())
+            ready = wait(list(busy), max(0.0, oldest + limit - time.monotonic()))
+            for conn in ready:
+                process, index, sent = busy.pop(conn)
+                try:
+                    result = conn.recv()
+                    idle.append((process, conn))
+                except EOFError:
+                    _stop(process, conn)
+                    result = SolveResult(
+                        "crashed", None, time.monotonic() - sent,
+                        f"worker died with exit code {process.exitcode}",
+                    )
+                yield index, result
+            now = time.monotonic()
+            for conn in [c for c, (_, _, sent) in busy.items() if now - sent >= limit]:
+                process, index, sent = busy.pop(conn)
+                _stop(process, conn)
+                yield index, SolveResult(
+                    "timeout", None, now - sent, f"worker killed after {limit}s"
                 )
     finally:
+        for process, conn in idle:
+            with contextlib.suppress(BrokenPipeError):  # unless it died idle
+                conn.send(None)
+        for process, conn in idle:
+            process.join()
+            conn.close()
+        for conn, (process, _, _) in busy.items():
+            _stop(process, conn)
         # Starting a spawned process also started multiprocessing's resource
         # tracker, a helper that would outlive this call; stop and reap it
         # like the workers.  No public way to do so exists.
         resource_tracker._resource_tracker._stop()
 
 
-def _drain(
-    pool: ProcessPoolExecutor,
-    size: int,
-    job: Callable[[Path], SolveResult],
-    problem_paths: list[Path],
-    todo: deque,
-    limit: float,
-) -> Iterator[tuple[int, SolveResult]]:
-    """Run ``job`` on the problems indexed by ``todo``, ``size`` at a time,
-    yielding (index, result) as results arrive.
+def _work(conn, adapter: PlannerAdapter, domain_path: str | Path, timeout: float) -> None:
+    """Answer each problem path received on ``conn`` with ``solve``'s
+    result until ``None`` arrives.  ``solve`` is looked up on the module,
+    so that a wrapper set there sees every solve."""
+    while (problem_path := conn.recv()) is not None:
+        conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
 
-    At most one problem per worker is in flight, so a problem's clock starts
-    when it is submitted.  When a problem has gone ``limit`` seconds without
-    an answer, or a worker died, the pool's workers are killed, the problems
-    still in flight go back to the front of ``todo`` and this returns.
-    """
-    running: dict = {}  # future -> (problem index, submitted at)
-    while todo or running:
-        try:
-            while todo and len(running) < size:
-                future = pool.submit(job, problem_paths[todo[0]])
-                running[future] = (todo.popleft(), time.monotonic())
-        except BrokenProcessPool:
-            if not running:
-                return  # a worker died idle; the rest go to a fresh pool
-        oldest = min(t0 for _, t0 in running.values())
-        done, _ = wait(
-            running, max(0.0, oldest + limit - time.monotonic()), FIRST_COMPLETED
-        )
-        broken = False
-        for future in done:
-            index, t0 = running.pop(future)
-            try:
-                result = future.result()
-            except BrokenProcessPool as err:
-                broken = True
-                result = SolveResult(
-                    "crashed", None, time.monotonic() - t0, f"worker died: {err}"
-                )
-            yield index, result
-        now = time.monotonic()
-        overdue = [f for f, (_, t0) in running.items() if now - t0 >= limit]
-        for future in overdue:
-            index, t0 = running.pop(future)
-            yield index, SolveResult(
-                "timeout", None, now - t0, f"worker killed after {limit}s"
-            )
-        if broken or overdue:
-            todo.extendleft(sorted((i for i, _ in running.values()), reverse=True))
-            # ProcessPoolExecutor has no public way to kill its workers
-            # before Python 3.14.
-            for process in pool._processes.values():
-                process.kill()
-            return
+
+def _stop(process: multiprocessing.Process, conn) -> None:
+    """Kill a worker, reap it and close its end of the pipe."""
+    process.kill()
+    process.join()
+    conn.close()

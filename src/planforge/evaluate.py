@@ -20,6 +20,7 @@ from pathlib import Path
 
 import requests
 
+from planforge import atomic_write
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanParseError, parse_plan, validate
 
@@ -367,5 +368,5 @@ def export_report(
         "mixed": _group_dict(metrics.mixed),
         "per_domain": {k: _group_dict(v) for k, v in metrics.per_domain.items()},
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2) + "\n")
-    Path(txt_path).write_text(render_report(metrics))
+    atomic_write(Path(json_path), json.dumps(payload, indent=2) + "\n")
+    atomic_write(Path(txt_path), render_report(metrics))

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from planforge import atomic_write
 from planforge.dpgc import GeneratorConfig, ObjectPool, PredicatePool, validate_against_domain
 from planforge.pddl.ground import goal_satisfied
 from planforge.pddl.model import Atom, Domain, Literal, Problem
@@ -294,10 +295,10 @@ def generate_batch(
                     )
                 # A torn or edited file is rewritten with the replayed bytes.
                 if not path.exists() or path.read_bytes() != text.encode():
-                    path.write_text(text)
+                    atomic_write(path, text)
                 result.replayed += 1
             else:
-                path.write_text(text)
+                atomic_write(path, text)
                 journal_file.write(fp + "\n")
                 journal_file.flush()
                 result.new_emissions += 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,7 +131,9 @@ class Session:
                 )
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(source, dest)
+        # Whole or not at all: a torn copy would differ from its source and
+        # make every rerun refuse the session.
+        atomic_write(dest, source.read_bytes())
 
 
 def load_adapter(name: str, registry: str | Path | None = None) -> PlannerAdapter:

@@ -9,6 +9,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,7 @@ from planforge.drivers import load_adapters, solve
 from planforge.session import Session, stage_generate, stage_plan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 
 
 @pytest.fixture()
@@ -72,6 +77,32 @@ def test_info_reads_real_results(hook, tmp_path, monkeypatch):
     assert (info["new"], info["replayed"]) == (2, 0)
     assert info["draws"] >= 2
     assert hook.INFO["stage_plan"](planned) == {"attempted": 2, "solved": 2}
+
+
+def test_worker_solves_are_traced(tmp_path):
+    trace = tmp_path / "trace"
+    trace.mkdir()
+    problems = []
+    for stem in ("a", "b", "c"):
+        problems.append(tmp_path / f"{stem}.pddl")
+        problems[-1].write_text((assets_dir() / "artic3_micro.pddl").read_text())
+    script = (
+        "from pathlib import Path\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import load_adapters, plan_batch\n"
+        "plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+        f"           [Path(p) for p in {[str(p) for p in problems]!r}],\n"
+        f"           {str(tmp_path / 'plans')!r}, workers=2)\n"
+    )
+    env = dict(os.environ, PLANFORGE_BENCH_TRACE=str(trace),
+               PYTHONPATH=os.pathsep.join([str(BENCH / "hook"), str(SRC)]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+    solves = [span for path in trace.glob("*.json")
+              for span in json.loads(path.read_text())["spans"]
+              if span["name"] == "solve"]
+    # the workers write their spans only if they exit normally
+    assert sorted(span["key"] for span in solves) == ["a", "b", "c"]
+    assert all(span["t1"] is not None for span in solves)
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in BENCH.glob("*.py")))

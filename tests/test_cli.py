@@ -327,6 +327,20 @@ def test_eval_limit_truncates(cli_session, tmp_path, stub_endpoint, capsys):
     assert "requests: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--retries", "--limit"])
+def test_eval_rejects_negative_counts(tmp_path, capsys, flag):
+    dataset = tmp_path / "val.json"
+    dataset.write_text(json.dumps([{"instruction": "x", "input": "y", "output": "z"}]))
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "eval", "--dataset", str(dataset), "--endpoint", "http://localhost:1/x",
+            "--out", str(tmp_path / "r"), flag, "-1",
+        ])
+    assert exit_info.value.code == 1
+    assert f"argument {flag}: must be zero or more, not -1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_rejects_malformed_datasets(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")

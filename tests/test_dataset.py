@@ -224,6 +224,15 @@ def test_build_and_assemble_parse_each_problem_once(tmp_path, corpus, monkeypatc
     assert sorted(parsed) == sorted(r.input for r in records)
 
 
+def test_reassembly_leaves_only_its_own_files(tmp_path, corpus):
+    records = corpus["artic3"][:12]
+    assemble(records, {"train": 4, "test": 2}, 5, tmp_path)
+    assert (tmp_path / "spillover.json").exists()
+    assemble(records, {"train": 12}, 5, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "train.json"]
+    assert audit_leakage(tmp_path).clean
+
+
 def test_audit_clean_dataset(tmp_path, corpus):
     assemble(balanced(corpus), {"train": 16, "val": 4, "test": 4}, 5, tmp_path)
     report = audit_leakage(tmp_path)

@@ -521,6 +521,61 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     assert multiprocessing.active_children() == []
 
 
+def _group_alive(pgid: int) -> bool:
+    """Whether process group ``pgid`` has a live (non-zombie) member."""
+    pids = [p.name for p in Path("/proc").iterdir() if p.name.isdigit()]
+    return any(stat[0] != "Z" and stat[2] == str(pgid)
+               for stat in map(_stat, pids) if stat is not None)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_dead_worker_leaves_its_siblings_problem_running(
+    tmp_path, artic3_domain_text, micro_text
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    other_path = tmp_path / "other.pddl"
+    other_path.write_text(micro_text)
+    pids = tmp_path / "pids"
+    # each planner records its group, its worker and its problem, then hangs
+    adapter = PlannerAdapter(
+        name="hangs", executable="sh",
+        args=("-c", 'echo $$ $PPID "$1" >> "$0"; sleep 30', str(pids), "{problem}"),
+        timeout=2,
+    )
+    results = []
+    batch = threading.Thread(target=lambda: results.append(plan_batch(
+        adapter, domain_path, [problem_path, other_path], tmp_path / "plans",
+        workers=2,
+    )))
+    batch.start()
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and (
+            not pids.exists() or len(pids.read_text().splitlines()) < 2
+        ):
+            time.sleep(0.01)
+        (_, worker, victim_problem), (sibling, sibling_worker, _) = (
+            line.split() for line in pids.read_text().splitlines()
+        )
+        assert worker != sibling_worker  # both planners run at once
+        # the worker dies from outside, as under the kernel's out-of-memory killer
+        os.kill(int(worker), signal.SIGKILL)
+        batch.join(timeout=60)
+        assert not batch.is_alive()
+        sibling_alive = _group_alive(int(sibling))
+    finally:
+        for line in pids.read_text().splitlines() if pids.exists() else ():
+            drivers._kill_group(int(line.split()[0]))
+    crashed, timed_out = results[0]
+    if Path(victim_problem).name != problem_path.name:
+        crashed, timed_out = timed_out, crashed
+    assert crashed.status == "crashed"
+    # the sibling got its own planner's answer, which killed the planner
+    assert (timed_out.status, timed_out.detail) == ("timeout", "killed after 2s")
+    assert not sibling_alive
+    assert multiprocessing.active_children() == []
+
+
 def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
     session = Session(tmp_path / "artic3")
     stage_generate(session, assets_dir() / "artic3.dpgc.json",

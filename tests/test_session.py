@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MICRO_PLAN
 from planforge import assets_dir
 from planforge.dataset import build_records
+from planforge.dpgc import load_config
 from planforge.drivers import load_adapters
+from planforge.evaluate import InferenceRecord, export_report, score
+from planforge.generate import generate_batch
+from planforge.pddl import parse_domain
 from planforge.session import (
     Session,
     StageError,
@@ -65,6 +70,63 @@ def test_torn_marker_write_leaves_a_resumable_session(tmp_path, monkeypatch):
     result = stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 5)
     assert (result["new"], result["replayed"]) == (0, 3)
     assert session.read_marker("generate")["count"] == 3
+
+
+def test_torn_input_copy_leaves_a_resumable_session(tmp_path, monkeypatch):
+    session = Session(tmp_path / "s")
+    write_bytes = Path.write_bytes
+
+    def torn(path, data):
+        # the disk fills up halfway through the copy of the domain
+        if session.domain_path.name in path.name:
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    with pytest.raises(OSError, match="no space left"):
+        stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 5)
+    monkeypatch.undo()
+    assert not session.domain_path.exists()
+
+    result = stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 5)
+    assert result["new"] == 3
+    assert session.domain_path.read_bytes() == ARTIC3_DOMAIN.read_bytes()
+
+
+def _generate_one(out_dir):
+    generate_batch(load_config(ARTIC3_CONFIG), parse_domain(ARTIC3_DOMAIN.read_text()),
+                   1, 5, out_dir / "problems", out_dir / "journal.fp")
+
+
+def _export_report(out_dir):
+    entry = {"instruction": ARTIC3_DOMAIN.read_text(),
+             "input": (assets_dir() / "artic3_micro.pddl").read_text(),
+             "output": MICRO_PLAN}
+    metrics = score([entry], [InferenceRecord(0, MICRO_PLAN, 0.1, "ok")])
+    export_report(metrics, out_dir / "metrics.json", out_dir / "metrics.txt")
+
+
+@pytest.mark.parametrize("name, write", [
+    ("artic3_000001.pddl", _generate_one),
+    ("metrics.json", _export_report),
+    ("metrics.txt", _export_report),
+])
+def test_torn_write_leaves_no_partial_file(tmp_path, monkeypatch, name, write):
+    write_text = Path.write_text
+
+    def torn(path, data, *args, **kwargs):
+        # the disk fills up halfway through the file
+        if name in path.name:
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError, match="no space left"):
+        write(tmp_path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.rglob("*") if name in p.name] == []
 
 
 def test_stage_fingerprint_is_order_insensitive():
