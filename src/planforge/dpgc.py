@@ -19,7 +19,7 @@ from pathlib import Path
 import jsonschema
 
 from planforge import assets_dir
-from planforge.pddl.model import Atom, Domain
+from planforge.pddl.model import Atom, Domain, is_known_type_in
 
 _ATOM_RE = re.compile(r"^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$")
 _TAG_RE = re.compile(r"^(?P<pool>[^$]+)\$(?P<label>[^+$]+)(?:\+(?P<offset>\d+))?$")
@@ -326,10 +326,7 @@ def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Dia
     object_type: dict[str, str] = {}
     for i, pool in enumerate(config.object_pools):
         path = f"config.object_pools[{i}]"
-        known = pool.type == "object" or any(
-            pool.type in pair for pair in domain.types
-        )
-        if not known:
+        if not is_known_type_in(domain.type_parents, pool.type):
             out.append(_error(f"{path}.type", f"unknown type '{pool.type}'"))
             continue
         for name in pool.object_names:

@@ -54,29 +54,12 @@ class _PoolState:
         self.used: set[int] = set()
         self.cursor = 0
 
-    def _take(self, index: int, reserve: tuple[int, ...]) -> str:
-        if self.pool.usage == "mutex":
-            self.used.update(index + off for off in reserve)
-        return self.pool.object_names[index]
-
-    def draw(self, rng: random.Random) -> str:
-        q = self.pool.quantity
-        if self.pool.usage == "sequential":
-            index = self.cursor % q
-            self.cursor += 1
-            return self._take(index, (0,))
-        if self.pool.usage == "mutex":
-            avail = [i for i in range(q) if i not in self.used]
-            if not avail:
-                raise GenerationError(
-                    f"object pool '{self.pool.id}' exhausted (usage mutex)"
-                )
-            return self._take(avail[rng.randrange(len(avail))], (0,))
-        return self._take(rng.randrange(q), (0,))
-
-    def draw_base(self, rng: random.Random, offsets: tuple[int, ...], label: str) -> int:
+    def draw_base(
+        self, rng: random.Random, offsets: tuple[int, ...], label: str | None
+    ) -> int:
         """Draw a base index such that base+offset stays in range for every
-        offset the label uses, respecting the pool's usage mode."""
+        offset the label uses, respecting the pool's usage mode.  An untagged
+        draw has no label and the single offset 0."""
         q = self.pool.quantity
         span = q - max(offsets)
         if span <= 0:
@@ -87,7 +70,6 @@ class _PoolState:
         if self.pool.usage == "sequential":
             index = self.cursor % span
             self.cursor += 1
-            self._take(index, offsets)
             return index
         if self.pool.usage == "mutex":
             eligible = [
@@ -96,10 +78,12 @@ class _PoolState:
             ]
             if not eligible:
                 raise GenerationError(
-                    f"cannot place tag '{self.pool.id}${label}': pool exhausted"
+                    f"object pool '{self.pool.id}' exhausted (usage mutex)"
+                    if label is None
+                    else f"cannot place tag '{self.pool.id}${label}': pool exhausted"
                 )
             base = eligible[rng.randrange(len(eligible))]
-            self._take(base, offsets)
+            self.used.update(base + off for off in offsets)
             return base
         return rng.randrange(span)
 
@@ -157,12 +141,13 @@ def sample_problem(
                         continue
                     state = pool_states[arg.value]
                     if arg.label is None:
-                        terms.append(state.draw(rng))
-                        continue
-                    key = (arg.value, arg.label)
-                    if key not in bases:
-                        bases[key] = state.draw_base(rng, offsets[key], arg.label)
-                    terms.append(state.pool.object_names[bases[key] + arg.offset])
+                        index = state.draw_base(rng, (0,), None)
+                    else:
+                        key = (arg.value, arg.label)
+                        if key not in bases:
+                            bases[key] = state.draw_base(rng, offsets[key], arg.label)
+                        index = bases[key] + arg.offset
+                    terms.append(state.pool.object_names[index])
                 atom = (tpl.predicate,) + tuple(terms)
                 if sink_init:
                     init.add(atom)
@@ -202,6 +187,10 @@ class GenerationResult:
     problem_files: list[Path] = field(default_factory=list)
 
 
+# Draws in a row that produce nothing new before generate_batch gives up.
+MAX_CONSECUTIVE_FAILURES = 1000
+
+
 def problem_file_name(domain: str, index: int) -> str:
     return f"{domain}_{index:06d}.pddl"
 
@@ -214,12 +203,10 @@ def generate_batch(
     problems_dir: Path,
     journal_path: Path,
     log_path: Path | None = None,
-    *,
-    max_consecutive_failures: int = 1000,
 ) -> GenerationResult:
     """Emit ``count`` unique problems, resuming from the journal if present.
 
-    Aborts once ``max_consecutive_failures`` draws in a row produce nothing
+    Aborts once ``MAX_CONSECUTIVE_FAILURES`` draws in a row produce nothing
     new, which signals an (almost) exhausted configuration space.
     """
     diags = validate_against_domain(config, domain)
@@ -261,7 +248,7 @@ def generate_batch(
             except GenerationError as err:
                 result.degenerate += 1
                 consecutive_failures += 1
-                if consecutive_failures >= max_consecutive_failures:
+                if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                     raise GenerationError(
                         f"{consecutive_failures} consecutive draws produced no new "
                         f"problem (last error: {err}); aborting after "
@@ -273,7 +260,7 @@ def generate_batch(
             if fp in seen:
                 result.duplicates += 1
                 consecutive_failures += 1
-                if consecutive_failures >= max_consecutive_failures:
+                if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                     raise GenerationError(
                         f"{consecutive_failures} consecutive duplicate draws; the "
                         f"configuration space is likely exhausted after "

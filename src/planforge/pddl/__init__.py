@@ -1,4 +1,4 @@
-"""Typed STRIPS-style planning model: parsing, serialization, grounding."""
+"""Typed STRIPS-style planning model: parsing, problem serialization, grounding."""
 
 from planforge.pddl.model import (
     Action,
@@ -13,7 +13,7 @@ from planforge.pddl.model import (
     State,
 )
 from planforge.pddl.parser import ParseError, parse_domain, parse_problem
-from planforge.pddl.writer import serialize_domain, serialize_problem
+from planforge.pddl.writer import serialize_problem
 from planforge.pddl.ground import (
     GroundingError,
     PreconditionError,
@@ -51,6 +51,5 @@ __all__ = [
     "static_predicates",
     "parse_domain",
     "parse_problem",
-    "serialize_domain",
     "serialize_problem",
 ]

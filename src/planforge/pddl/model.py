@@ -114,6 +114,12 @@ def is_subtype_in(parents: dict[str, str], t: str, ancestor: str) -> bool:
     return False
 
 
+def is_known_type_in(parents: dict[str, str], t: str) -> bool:
+    """Whether ``t`` is object or named in the ``parents`` map, as a declared
+    type or as a parent."""
+    return t == "object" or t in parents or t in parents.values()
+
+
 @dataclass(frozen=True)
 class Domain:
     name: str

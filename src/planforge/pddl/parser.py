@@ -5,6 +5,11 @@ Accepted requirement flags: :strips :typing :negative-preconditions :equality
 features are honoured; quantifiers, disjunctions, numeric fluents and durative
 actions are rejected with positioned diagnostics.  All input is folded to
 lower case before interpretation.
+
+Each place that holds logic has one reader.  Preconditions, effect
+conditions and goals are conditions: a conjunction of atoms and ``=`` tests,
+each of which may sit inside one ``not``.  An effect's add or delete and an
+``:init`` entry is a single atom; a conjunction there is an error.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from planforge.pddl.model import (
     Param,
     Predicate,
     Problem,
+    is_known_type_in,
     is_subtype_in,
 )
 
@@ -166,42 +172,13 @@ def _parse_typed_list(
     return out
 
 
-def _check_atom_args(
-    pred: Predicate,
-    args: list[Token],
-    term_type: dict[str, str],
-    domain_types: "_TypeOracle",
-    node: Node,
-) -> Atom:
-    if len(args) != pred.arity:
-        raise _fail(
-            node,
-            f"predicate '{pred.name}' expects {pred.arity} argument(s), got {len(args)}",
-        )
-    terms = []
-    for tok, param in zip(args, pred.params):
-        if tok.text not in term_type:
-            kind = "variable" if tok.text.startswith("?") else "object"
-            raise _fail(tok, f"undeclared {kind} '{tok.text}'")
-        if not domain_types.is_subtype(term_type[tok.text], param.type):
-            raise _fail(
-                tok,
-                f"'{tok.text}' has type '{term_type[tok.text]}', "
-                f"but '{pred.name}' expects '{param.type}' here",
-            )
-        terms.append(tok.text)
-    return (pred.name,) + tuple(terms)
-
-
-class _TypeOracle:
-    def __init__(self, types: tuple[tuple[str, str], ...]):
-        self.parents = dict(types)
-
-    def known(self, t: str) -> bool:
-        return t == "object" or t in self.parents or t in self.parents.values()
-
-    def is_subtype(self, t: str, ancestor: str) -> bool:
-        return is_subtype_in(self.parents, t, ancestor)
+def _term(node: Node, term_type: dict[str, str]) -> str:
+    """A term's name; it must be a declared variable or object."""
+    tok = _expect_symbol(node, "a term")
+    if tok.text not in term_type:
+        kind = "variable" if tok.text.startswith("?") else "object"
+        raise _fail(tok, f"undeclared {kind} '{tok.text}'")
+    return tok.text
 
 
 _REJECTED_CONNECTIVES = {
@@ -214,165 +191,133 @@ _REJECTED_CONNECTIVES = {
     "assign": "numeric fluents are not supported",
 }
 
+# Heads that cannot stand where one atom is read, as the diagnostic names them.
+_NOT_AN_ATOM = {"not": "negation", "when": "'when'", EQ: "equality"}
 
-def _parse_literals(
-    node: Node,
+_NOT_IN_INIT = {
+    "not": "negative literals are not allowed in ':init'",
+    "and": "conjunctions are not allowed in ':init'",
+    EQ: "numeric fluents are not supported",
+}
+
+
+def _atom(
+    group: SExpr,
     predicates: dict[str, Predicate],
     term_type: dict[str, str],
-    types: _TypeOracle,
-    *,
-    allow_negation: bool,
-    allow_equality: bool,
+    parents: dict[str, str],
     context: str,
-) -> list[Literal]:
-    group = _expect_group(node, f"a {context} expression")
+) -> Atom:
+    """One atom: an effect's add or delete, an ':init' entry, or a
+    condition's atom."""
     head = _head(group)
     if head in _REJECTED_CONNECTIVES:
         raise _fail(group, _REJECTED_CONNECTIVES[head])
-    if head == "and":
-        out: list[Literal] = []
-        for child in list(group)[1:]:
-            out.extend(
-                _parse_literals(
-                    child,
-                    predicates,
-                    term_type,
-                    types,
-                    allow_negation=allow_negation,
-                    allow_equality=allow_equality,
-                    context=context,
-                )
-            )
-        return out
-    if head == "not":
-        if not allow_negation:
-            raise _fail(group, f"negation is not allowed in {context}")
-        if len(group) != 2:
-            raise _fail(group, "'not' takes exactly one argument")
-        inner = _parse_literals(
-            group[1],
-            predicates,
-            term_type,
-            types,
-            allow_negation=False,
-            allow_equality=allow_equality,
-            context=context,
-        )
-        if len(inner) != 1:
-            raise _fail(group, "'not' must wrap a single atom")
-        return [inner[0].negate()]
-    if head == "when":
-        raise _fail(group, f"'when' is not allowed in {context}")
-    if head == EQ:
-        if not allow_equality:
-            raise _fail(group, f"equality is not allowed in {context}")
-        args = list(group)[1:]
-        if len(args) != 2:
-            raise _fail(group, "'=' takes exactly two arguments")
-        terms = []
-        for arg in args:
-            tok = _expect_symbol(arg, "a term")
-            if tok.text not in term_type:
-                kind = "variable" if tok.text.startswith("?") else "object"
-                raise _fail(tok, f"undeclared {kind} '{tok.text}'")
-            terms.append(tok.text)
-        return [Literal((EQ,) + tuple(terms))]
+    if head in _NOT_AN_ATOM:
+        raise _fail(group, f"{_NOT_AN_ATOM[head]} is not allowed in {context}")
     if not head:
         raise _fail(group, f"empty or malformed {context} expression")
     if head not in predicates:
         raise _fail(group, f"unknown predicate '{head}'")
-    args = [_expect_symbol(a, "a term") for a in list(group)[1:]]
-    atom = _check_atom_args(predicates[head], args, term_type, types, group)
-    return [Literal(atom)]
+    pred = predicates[head]
+    args = [_expect_symbol(a, "a term") for a in group[1:]]
+    if len(args) != pred.arity:
+        raise _fail(
+            group,
+            f"predicate '{pred.name}' expects {pred.arity} argument(s), got {len(args)}",
+        )
+    for tok, param in zip(args, pred.params):
+        t = term_type[_term(tok, term_type)]
+        if not is_subtype_in(parents, t, param.type):
+            raise _fail(
+                tok,
+                f"'{tok.text}' has type '{t}', "
+                f"but '{pred.name}' expects '{param.type}' here",
+            )
+    return (pred.name,) + tuple(tok.text for tok in args)
 
 
-def _parse_effect(
+def _negated(group: SExpr, context: str) -> SExpr:
+    """The single atom a ``(not ...)`` wraps."""
+    if len(group) != 2:
+        raise _fail(group, "'not' takes exactly one argument")
+    inner = _expect_group(group[1], f"a {context} expression")
+    if _head(inner) == "and":
+        raise _fail(group, "'not' must wrap a single atom")
+    return inner
+
+
+def _condition(
     node: Node,
     predicates: dict[str, Predicate],
     term_type: dict[str, str],
-    types: _TypeOracle,
-    *,
-    in_branch: bool = False,
-) -> tuple[list[Atom], list[Atom], list[EffectBranch]]:
-    """Collect unconditional adds/deletes and conditional branches."""
+    parents: dict[str, str],
+    context: str,
+) -> list[Literal]:
+    """A precondition, effect condition or goal: a conjunction of atoms and
+    ``=`` tests, each of which may sit inside a ``not``."""
+    group = _expect_group(node, f"a {context} expression")
+    head = _head(group)
+    if head == "and":
+        return [
+            lit
+            for child in group[1:]
+            for lit in _condition(child, predicates, term_type, parents, context)
+        ]
+    if head == "not":
+        group = _negated(group, context)
+    if _head(group) == EQ:
+        if len(group) != 3:
+            raise _fail(group, "'=' takes exactly two arguments")
+        atom = (EQ,) + tuple(_term(arg, term_type) for arg in group[1:])
+    else:
+        atom = _atom(group, predicates, term_type, parents, context)
+    return [Literal(atom, head != "not")]
+
+
+def _effect(
+    node: Node,
+    predicates: dict[str, Predicate],
+    term_type: dict[str, str],
+    parents: dict[str, str],
+    branches: list[EffectBranch] | None,
+) -> tuple[list[Atom], list[Atom]]:
+    """The unconditional adds and deletes of an effect; each ``when`` is
+    appended to ``branches``, which is None inside a ``when``."""
     group = _expect_group(node, "an effect expression")
     head = _head(group)
-    if head in _REJECTED_CONNECTIVES:
-        raise _fail(group, _REJECTED_CONNECTIVES[head])
-    adds: list[Atom] = []
-    deletes: list[Atom] = []
-    branches: list[EffectBranch] = []
     if head == "and":
-        for child in list(group)[1:]:
-            a, d, b = _parse_effect(
-                child, predicates, term_type, types, in_branch=in_branch
-            )
-            adds.extend(a)
-            deletes.extend(d)
-            branches.extend(b)
-        return adds, deletes, branches
+        adds: list[Atom] = []
+        deletes: list[Atom] = []
+        for child in group[1:]:
+            a, d = _effect(child, predicates, term_type, parents, branches)
+            adds += a
+            deletes += d
+        return adds, deletes
     if head == "when":
-        if in_branch:
+        if branches is None:
             raise _fail(group, "nested 'when' is not supported")
         if len(group) != 3:
             raise _fail(group, "'when' takes a condition and an effect")
-        condition = _parse_literals(
-            group[1],
-            predicates,
-            term_type,
-            types,
-            allow_negation=True,
-            allow_equality=True,
-            context="effect condition",
-        )
-        a, d, b = _parse_effect(group[2], predicates, term_type, types, in_branch=True)
-        assert not b
-        branches.append(
-            EffectBranch(tuple(condition), tuple(dict.fromkeys(a)), tuple(dict.fromkeys(d)))
-        )
-        return adds, deletes, branches
+        condition = _condition(group[1], predicates, term_type, parents, "effect condition")
+        adds, deletes = _effect(group[2], predicates, term_type, parents, None)
+        branches.append(_branch(condition, adds, deletes))
+        return [], []
     if head == "not":
-        if len(group) != 2:
-            raise _fail(group, "'not' takes exactly one argument")
-        lits = _parse_literals(
-            group[1],
-            predicates,
-            term_type,
-            types,
-            allow_negation=False,
-            allow_equality=False,
-            context="effect",
-        )
-        deletes.append(lits[0].atom)
-        return adds, deletes, branches
-    lits = _parse_literals(
-        group,
-        predicates,
-        term_type,
-        types,
-        allow_negation=False,
-        allow_equality=False,
-        context="effect",
+        return [], [_atom(_negated(group, "effect"), predicates, term_type, parents, "effect")]
+    return [_atom(group, predicates, term_type, parents, "effect")], []
+
+
+def _branch(condition: list[Literal], adds: list[Atom], deletes: list[Atom]) -> EffectBranch:
+    return EffectBranch(
+        tuple(condition), tuple(dict.fromkeys(adds)), tuple(dict.fromkeys(deletes))
     )
-    adds.append(lits[0].atom)
-    return adds, deletes, branches
-
-
-def _check_branch_consistency(branch: EffectBranch, action: str, node: Node) -> None:
-    overlap = set(branch.adds) & set(branch.deletes)
-    if overlap:
-        atom = sorted(overlap)[0]
-        raise _fail(
-            node,
-            f"action '{action}' both adds and deletes ({' '.join(atom)}) "
-            "in the same effect branch",
-        )
 
 
 def _parse_action(
     group: SExpr,
     predicates: dict[str, Predicate],
-    types: _TypeOracle,
+    parents: dict[str, str],
 ) -> Action:
     nodes = list(group)[1:]
     if not nodes:
@@ -400,71 +345,65 @@ def _parse_action(
 
     param_nodes = _expect_group(sections[":parameters"], "a parameter list")
     typed = _parse_typed_list(list(param_nodes), variables=True, what="a parameter")
-    params = []
     seen_vars: dict[str, str] = {}
     for var, t in typed:
         if var in seen_vars:
             raise _fail(param_nodes, f"duplicate parameter '{var}' in action '{name}'")
-        if not types.known(t):
+        if not is_known_type_in(parents, t):
             raise _fail(param_nodes, f"unknown type '{t}' in action '{name}'")
         seen_vars[var] = t
-        params.append(Param(var, t))
 
     precondition: tuple[Literal, ...] = ()
     if ":precondition" in sections:
         precondition = tuple(
-            _parse_literals(
-                sections[":precondition"],
-                predicates,
-                seen_vars,
-                types,
-                allow_negation=True,
-                allow_equality=True,
-                context="precondition",
-            )
+            _condition(sections[":precondition"], predicates, seen_vars, parents, "precondition")
         )
 
-    adds, deletes, branches = _parse_effect(
-        sections[":effect"], predicates, seen_vars, types
-    )
-    if not adds and not deletes and not branches:
-        raise _fail(group, f"action '{name}' has an empty effect")
     effects: list[EffectBranch] = []
+    adds, deletes = _effect(sections[":effect"], predicates, seen_vars, parents, effects)
     if adds or deletes:
-        effects.append(
-            EffectBranch((), tuple(dict.fromkeys(adds)), tuple(dict.fromkeys(deletes)))
-        )
-    effects.extend(branches)
+        effects.insert(0, _branch([], adds, deletes))
+    if not effects:
+        raise _fail(group, f"action '{name}' has an empty effect")
     for branch in effects:
-        _check_branch_consistency(branch, name, group)
-    return Action(name, tuple(params), precondition, tuple(effects))
+        overlap = set(branch.adds) & set(branch.deletes)
+        if overlap:
+            raise _fail(
+                group,
+                f"action '{name}' both adds and deletes ({' '.join(sorted(overlap)[0])}) "
+                "in the same effect branch",
+            )
+    params = tuple(Param(var, t) for var, t in seen_vars.items())
+    return Action(name, params, precondition, tuple(effects))
+
+
+def _parse_define(text: str, kind: str) -> tuple[SExpr, str, list[Node]]:
+    """Read ``(define (KIND NAME) SECTION...)`` into the whole group, NAME
+    and the sections."""
+    group = _expect_group(_read_tree(tokenize(text)), f"a {kind} definition")
+    if _head(group) != "define":
+        raise _fail(group, f"expected (define ({kind} ...) ...)")
+    nodes = list(group)[1:]
+    if not nodes:
+        raise _fail(group, f"missing ({kind} NAME)")
+    head_group = _expect_group(nodes[0], f"({kind} NAME)")
+    if _head(head_group) != kind or len(head_group) != 2:
+        raise _fail(head_group, f"expected ({kind} NAME)")
+    return group, _expect_symbol(head_group[1], f"a {kind} name").text, nodes[1:]
 
 
 @functools.lru_cache(maxsize=8)
 def parse_domain(text: str) -> Domain:
     """Parse a domain; the result is immutable, so repeated texts are
     answered from a small memo instead of being parsed again."""
-    tree = _read_tree(tokenize(text))
-    group = _expect_group(tree, "a domain definition")
-    if _head(group) != "define":
-        raise _fail(group, "expected (define (domain ...) ...)")
-    nodes = list(group)[1:]
-    if not nodes:
-        raise _fail(group, "missing (domain NAME)")
-    head_group = _expect_group(nodes[0], "(domain NAME)")
-    if _head(head_group) != "domain" or len(head_group) != 2:
-        raise _fail(head_group, "expected (domain NAME)")
-    name = _expect_symbol(head_group[1], "a domain name").text
-
+    _, name, sections = _parse_define(text, "domain")
     requirements: tuple[str, ...] = ()
-    types = _TypeOracle(())
-    type_pairs: tuple[tuple[str, str], ...] = ()
+    parents: dict[str, str] = {}
     predicates: dict[str, Predicate] = {}
-    pred_order: list[Predicate] = []
     actions: list[Action] = []
     seen_sections: set[str] = set()
 
-    for node in nodes[1:]:
+    for node in sections:
         section = _expect_group(node, "a domain section")
         key = _head(section)
         if key == ":functions":
@@ -492,14 +431,12 @@ def parse_domain(text: str) -> Domain:
                 reqs.append(tok.text)
             requirements = tuple(reqs)
         elif key == ":types":
-            pairs = _parse_typed_list(list(section)[1:], variables=False, what="a type name")
-            seen_types = set()
-            for t, _parent in pairs:
-                if t in seen_types:
+            for t, parent in _parse_typed_list(
+                list(section)[1:], variables=False, what="a type name"
+            ):
+                if t in parents:
                     raise _fail(section, f"duplicate type '{t}'")
-                seen_types.add(t)
-            type_pairs = tuple(pairs)
-            types = _TypeOracle(type_pairs)
+                parents[t] = parent
         elif key == ":predicates":
             for child in list(section)[1:]:
                 pgroup = _expect_group(child, "a predicate declaration")
@@ -510,43 +447,30 @@ def parse_domain(text: str) -> Domain:
                     raise _fail(pgroup, f"duplicate predicate '{pname}'")
                 typed = _parse_typed_list(list(pgroup)[1:], variables=True, what="a parameter")
                 for _var, t in typed:
-                    if not types.known(t):
+                    if not is_known_type_in(parents, t):
                         raise _fail(pgroup, f"unknown type '{t}' in predicate '{pname}'")
-                pred = Predicate(pname, tuple(Param(v, t) for v, t in typed))
-                predicates[pname] = pred
-                pred_order.append(pred)
+                predicates[pname] = Predicate(pname, tuple(Param(v, t) for v, t in typed))
         else:
-            action = _parse_action(section, predicates, types)
+            action = _parse_action(section, predicates, parents)
             if any(a.name == action.name for a in actions):
                 raise _fail(section, f"duplicate action '{action.name}'")
             actions.append(action)
 
-    return Domain(name, requirements, type_pairs, tuple(pred_order), tuple(actions))
+    return Domain(
+        name, requirements, tuple(parents.items()), tuple(predicates.values()), tuple(actions)
+    )
 
 
 def parse_problem(text: str, domain: Domain) -> Problem:
-    tree = _read_tree(tokenize(text))
-    group = _expect_group(tree, "a problem definition")
-    if _head(group) != "define":
-        raise _fail(group, "expected (define (problem ...) ...)")
-    nodes = list(group)[1:]
-    if not nodes:
-        raise _fail(group, "missing (problem NAME)")
-    head_group = _expect_group(nodes[0], "(problem NAME)")
-    if _head(head_group) != "problem" or len(head_group) != 2:
-        raise _fail(head_group, "expected (problem NAME)")
-    name = _expect_symbol(head_group[1], "a problem name").text
-
-    types = _TypeOracle(domain.types)
+    group, name, sections = _parse_define(text, "problem")
+    parents = domain.type_parents
     predicates = {p.name: p for p in domain.predicates}
-    objects: list[tuple[str, str]] = []
     object_type: dict[str, str] = {}
     init: set[Atom] = set()
     goal: tuple[Literal, ...] = ()
     seen_sections: set[str] = set()
-    domain_declared = False
 
-    for node in nodes[1:]:
+    for node in sections:
         section = _expect_group(node, "a problem section")
         key = _head(section)
         if key not in (":domain", ":objects", ":init", ":goal"):
@@ -566,53 +490,31 @@ def parse_problem(text: str, domain: Domain) -> Problem:
                     section,
                     f"problem is for domain '{dname}', not '{domain.name}'",
                 )
-            domain_declared = True
         elif key == ":objects":
             for oname, t in _parse_typed_list(
                 list(section)[1:], variables=False, what="an object name"
             ):
                 if oname in object_type:
                     raise _fail(section, f"duplicate object '{oname}'")
-                if not types.known(t):
+                if not is_known_type_in(parents, t):
                     raise _fail(section, f"unknown type '{t}' for object '{oname}'")
                 object_type[oname] = t
-                objects.append((oname, t))
         elif key == ":init":
             for child in list(section)[1:]:
                 agroup = _expect_group(child, "an init atom")
                 head = _head(agroup)
-                if head == "not":
-                    raise _fail(agroup, "negative literals are not allowed in ':init'")
-                if head == EQ:
-                    raise _fail(agroup, "numeric fluents are not supported")
-                lits = _parse_literals(
-                    agroup,
-                    predicates,
-                    object_type,
-                    types,
-                    allow_negation=False,
-                    allow_equality=False,
-                    context="init",
-                )
-                init.add(lits[0].atom)
+                if head in _NOT_IN_INIT:
+                    raise _fail(agroup, _NOT_IN_INIT[head])
+                init.add(_atom(agroup, predicates, object_type, parents, "init"))
         else:
             if len(section) != 2:
                 raise _fail(section, "expected (:goal EXPR)")
-            lits = _parse_literals(
-                section[1],
-                predicates,
-                object_type,
-                types,
-                allow_negation=True,
-                allow_equality=True,
-                context="goal",
-            )
-            if not lits:
+            goal = tuple(_condition(section[1], predicates, object_type, parents, "goal"))
+            if not goal:
                 raise _fail(section, "goal must not be empty")
-            goal = tuple(lits)
 
     if ":goal" not in seen_sections:
         raise _fail(group, "problem is missing ':goal'")
-    if not domain_declared:
+    if ":domain" not in seen_sections:
         raise _fail(group, "problem is missing '(:domain ...)'")
-    return Problem(name, domain.name, tuple(objects), frozenset(init), goal)
+    return Problem(name, domain.name, tuple(object_type.items()), frozenset(init), goal)

@@ -1,23 +1,16 @@
-"""Canonical text rendering for domains and problems.
+"""Canonical text rendering for problems, atoms and literals.
 
 The canonical form is what fingerprinting and the round-trip guarantee rest
 on: every name is lower case, objects are listed one per line sorted by name,
 init atoms are listed one per line in lexicographic order of their rendered
 text, and goal conjuncts keep their declared order.  Parsing a rendered
-document yields a value equal to the one rendered.
+problem yields a value equal to the one rendered.  Domains have no canonical
+form: a domain ships as the text it was read from.
 """
 
 from __future__ import annotations
 
-from planforge.pddl.model import (
-    EQ,
-    Action,
-    Atom,
-    Domain,
-    EffectBranch,
-    Literal,
-    Problem,
-)
+from planforge.pddl.model import Atom, Literal, Problem
 
 
 def render_atom(atom: Atom) -> str:
@@ -27,72 +20,6 @@ def render_atom(atom: Atom) -> str:
 def render_literal(lit: Literal) -> str:
     body = render_atom(lit.atom)
     return body if lit.positive else f"(not {body})"
-
-
-def _render_condition(lits: tuple[Literal, ...]) -> str:
-    return "(and " + " ".join(render_literal(l) for l in lits) + ")"
-
-
-def _render_branch_effects(branch: EffectBranch) -> list[str]:
-    parts = [render_atom(a) for a in branch.adds]
-    parts.extend(f"(not {render_atom(d)})" for d in branch.deletes)
-    return parts
-
-
-def _render_effect(action: Action) -> list[str]:
-    lines: list[str] = []
-    for branch in action.effects:
-        if not branch.condition:
-            lines.extend(_render_branch_effects(branch))
-        else:
-            body = " ".join(_render_branch_effects(branch))
-            lines.append(f"(when {_render_condition(branch.condition)} (and {body}))")
-    return lines
-
-
-def _render_typed_pairs(pairs: tuple[tuple[str, str], ...]) -> str:
-    """Render a typed list, grouping consecutive entries of the same type."""
-    runs: list[tuple[str, list[str]]] = []
-    for name, t in pairs:
-        if runs and runs[-1][0] == t:
-            runs[-1][1].append(name)
-        else:
-            runs.append((t, [name]))
-    parts: list[str] = []
-    for index, (t, names) in enumerate(runs):
-        # bare names bind to the next "- type" marker, so the implicit
-        # object form is only safe at the tail of the list
-        if t == "object" and index == len(runs) - 1:
-            parts.extend(names)
-        else:
-            parts.append(" ".join(names) + f" - {t}")
-    return " ".join(parts)
-
-
-def serialize_domain(domain: Domain) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    if domain.requirements:
-        lines.append(f"  (:requirements {' '.join(domain.requirements)})")
-    if domain.types:
-        lines.append(f"  (:types {_render_typed_pairs(domain.types)})")
-    if domain.predicates:
-        lines.append("  (:predicates")
-        for pred in domain.predicates:
-            params = "".join(f" {p.name} - {p.type}" for p in pred.params)
-            lines.append(f"    ({pred.name}{params})")
-        lines[-1] += ")"
-    for action in domain.actions:
-        lines.append(f"  (:action {action.name}")
-        params = " ".join(f"{p.name} - {p.type}" for p in action.params)
-        lines.append(f"    :parameters ({params})")
-        if action.precondition:
-            lines.append(f"    :precondition {_render_condition(action.precondition)}")
-        lines.append("    :effect (and")
-        for part in _render_effect(action):
-            lines.append(f"      {part}")
-        lines[-1] += "))"
-    lines[-1] += ")"
-    return "\n".join(lines) + "\n"
 
 
 def serialize_problem(problem: Problem) -> str:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,20 @@ def test_validate_rejects_with_kind_and_step(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid (precondition_failed at step 0): ")
+
+    # a conjunction in ':init' is a positioned parse error, not a traceback
+    problem_file = tmp_path / "and-init.pddl"
+    problem_file.write_text(
+        Path(MICRO_PROBLEM).read_text().replace("(free gripper2)", "(and)")
+    )
+    code = main([
+        "validate", "--domain", ARTIC3_DOMAIN, "--problem", str(problem_file),
+        "--plan", str(plan_file),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 23, col 5: conjunctions are not allowed in ':init'\n"
+    )
 
 
 def test_assemble_audit_and_leakage(cli_session, tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from planforge import generate
 from planforge.dpgc import parse_config
 from planforge.generate import (
     GenerationError,
@@ -317,7 +318,7 @@ def test_batch_rejects_config_domain_mismatch(tmp_path, artic3m, artic3_config):
     assert "config does not fit the domain" in str(err.value)
 
 
-def test_batch_gives_up_on_exhausted_space(tmp_path, chain):
+def test_batch_gives_up_on_exhausted_space(tmp_path, chain, monkeypatch):
     cfg = chain_config(
         object_pools=[{"id": "beads", "type": "bead", "prefix": "bead",
                        "quantity": 1}],
@@ -329,9 +330,10 @@ def test_batch_gives_up_on_exhausted_space(tmp_path, chain):
     result = generate_batch(cfg, chain, 1, 0,
                             tmp_path / "problems", tmp_path / "journal.fp")
     assert result.new_emissions == 1
+    monkeypatch.setattr(generate, "MAX_CONSECUTIVE_FAILURES", 40)
     with pytest.raises(GenerationError) as err:
         generate_batch(cfg, chain, 2, 0, tmp_path / "problems",
-                       tmp_path / "journal.fp", max_consecutive_failures=40)
+                       tmp_path / "journal.fp")
     assert "consecutive duplicate draws" in str(err.value)
 
 

@@ -158,6 +158,10 @@ def test_reject_malformed_not_and_equality():
             "'not' must wrap a single atom")
     _expect(MINI.replace("(not (= ?a ?b))", "(not (= ?a ?b ?i))"),
             "'=' takes exactly two arguments")
+    _expect(MINI.replace("(not (at ?i ?a))", "(not (and (at ?i ?a) (moved)))"),
+            "line 9, col 29: 'not' must wrap a single atom")
+    _expect(MINI.replace("(not (at ?i ?a))", "(not (and))"),
+            "line 9, col 29: 'not' must wrap a single atom")
 
 
 def test_reject_unbalanced_and_trailing():
@@ -191,6 +195,10 @@ def test_problem_rejections():
            "negative literals are not allowed in ':init'")
     expect(MINI_PROBLEM.replace("(at i1 s1)", "(= (total-cost) 0)"),
            "numeric fluents are not supported")
+    expect(MINI_PROBLEM.replace("(at i1 s1)", "(and (at i1 s1) (blocked s1))"),
+           "line 5, col 10: conjunctions are not allowed in ':init'")
+    expect(MINI_PROBLEM.replace("(at i1 s1)", "(and)"),
+           "line 5, col 10: conjunctions are not allowed in ':init'")
     expect(MINI_PROBLEM.replace("(at i1 s1)", "(at i9 s1)"), "undeclared object 'i9'")
     expect(MINI_PROBLEM.replace("(at i1 s1)", "(at s1 i1)"), "has type 'slot'")
     no_goal = MINI_PROBLEM[: MINI_PROBLEM.index("(:goal")].rstrip() + ")"

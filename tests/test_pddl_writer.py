@@ -4,7 +4,7 @@ import dataclasses
 import random
 
 from planforge.generate import sample_problem
-from planforge.pddl import parse_domain, parse_problem, serialize_domain, serialize_problem
+from planforge.pddl import parse_domain, parse_problem, serialize_problem
 from planforge.pddl.model import Problem
 
 SMALL_DOMAIN = """\
@@ -42,15 +42,6 @@ def test_problem_serialization_is_canonical_text():
     assert serialize_problem(prob) == SMALL_PROBLEM
 
 
-def test_domain_round_trips(artic3, artic3m):
-    for dom in (parse_domain(SMALL_DOMAIN), artic3, artic3m):
-        again = parse_domain(serialize_domain(dom))
-        assert again == dom
-    # serialization is a fixed point
-    text = serialize_domain(artic3)
-    assert serialize_domain(parse_domain(text)) == text
-
-
 def test_init_and_object_order_do_not_affect_output():
     dom = parse_domain(SMALL_DOMAIN)
     base = parse_problem(SMALL_PROBLEM, dom)
@@ -86,12 +77,3 @@ def test_generated_problems_round_trip(artic3, artic3_config, artic3m, artic3m_c
             assert again == problem
             assert serialize_problem(again) == text
 
-
-def test_predicates_always_carry_explicit_types(artic3):
-    text = serialize_domain(artic3)
-    preds = text[text.index("(:predicates"):]
-    preds = preds[: preds.index("(:action")]
-    for line in preds.splitlines():
-        line = line.strip()
-        if line.startswith("(") and "?" in line:
-            assert " - " in line, line
