@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,22 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be zero or more, not {value}")
+    return value
+
+
+def _workers(text: str) -> int:
+    """A whole number of one or more, as an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be one or more, not {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """A finite number of seconds above zero, as an argparse type."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above zero, not {text}")
     return value
 
 
@@ -203,7 +220,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-problems", help="generate problems from a config")
     p.add_argument("--config", required=True, help="generation config (.dpgc.json)")
     p.add_argument("--domain", required=True, help="domain file (.pddl)")
-    p.add_argument("--count", required=True, type=int, help="problems to emit")
+    p.add_argument("--count", required=True, type=_count, help="problems to emit")
     p.add_argument("--seed", required=True, type=int, help="generation seed")
     p.add_argument("--session", required=True, help="session directory")
     p.set_defaults(func=cmd_gen_problems)
@@ -212,8 +229,8 @@ def build_parser() -> _Parser:
     p.add_argument("--session", required=True)
     p.add_argument("--adapter", default="internal", help="adapter name")
     p.add_argument("--adapters", default=None, help="adapter registry file")
-    p.add_argument("--timeout", type=float, default=None, help="per-problem seconds")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--timeout", type=_seconds, default=None, help="per-problem seconds")
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("assemble", help="assemble dataset splits from sessions")
@@ -221,9 +238,9 @@ def build_parser() -> _Parser:
         "--session", action="append", required=True, help="one per domain session"
     )
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--train", type=int, default=0)
-    p.add_argument("--val", type=int, default=0)
-    p.add_argument("--test", type=int, default=0)
+    p.add_argument("--train", type=_count, default=0)
+    p.add_argument("--val", type=_count, default=0)
+    p.add_argument("--test", type=_count, default=0)
     p.add_argument("--seed", required=True, type=int, help="shuffle seed")
     p.set_defaults(func=cmd_assemble)
 
@@ -243,7 +260,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--temperature", type=float, default=0.01)
     p.add_argument("--token-budget", type=int, default=3096)
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--timeout", type=_seconds, default=120.0)
     p.add_argument("--retries", type=_count, default=0)
     p.add_argument("--limit", type=_count, default=None, help="evaluate first N only")
     p.set_defaults(func=cmd_eval)

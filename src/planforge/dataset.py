@@ -258,7 +258,7 @@ class AuditReport:
 
 def audit_leakage(dataset_dir: str | Path) -> AuditReport:
     """Recompute problem fingerprints from the shipped split files and report
-    any fingerprint that appears in more than one file.
+    any fingerprint that appears more than once, in one file or across files.
 
     The recompute goes through a full parse and canonical re-render of each
     record's ``input`` against its own ``instruction``, so cosmetic
@@ -282,6 +282,6 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
     collisions = [
         {"fingerprint": fp, "occurrences": places}
         for fp, places in sorted(seen.items())
-        if len({name for name, _ in places}) > 1 or len(places) > 1
+        if len(places) > 1
     ]
     return AuditReport(files=counts, collisions=collisions)

@@ -7,6 +7,11 @@ templates are sampled per problem.  Template arguments may name an object
 directly, name an object pool (uniform draw), or use the tagged form
 ``pool$label`` / ``pool$label+k`` which draws one base object per label and
 offsets from it, so related atoms can share objects.
+
+Checking finds diagnostics, each naming a path in the config; every one is
+an error.  ``parse_config`` raises the structural ones and
+``validate_against_domain`` returns those against a domain, and
+``generate_batch`` refuses a config with any.
 """
 
 from __future__ import annotations
@@ -33,20 +38,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One problem that stops a config from being used."""
+
     path: str
-    severity: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.path}: {self.severity}: {self.message}"
-
-
-def _error(path: str, message: str) -> Diagnostic:
-    return Diagnostic(path, "error", message)
-
-
-def _warning(path: str, message: str) -> Diagnostic:
-    return Diagnostic(path, "warning", message)
+        return f"{self.path}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -102,17 +100,11 @@ class MutexGroup:
 @dataclass(frozen=True)
 class GeneratorConfig:
     domain: str
-    object_pools: tuple[ObjectPool, ...]
+    object_pools: dict[str, ObjectPool]  # by id, in declaration order
     constant_init: tuple[Atom, ...] = ()
     variable_init: tuple[PredicatePool, ...] = ()
     variable_goal: tuple[PredicatePool, ...] = ()
     mutex_groups: tuple[MutexGroup, ...] = ()
-
-    def pool(self, pool_id: str) -> ObjectPool | None:
-        for pool in self.object_pools:
-            if pool.id == pool_id:
-                return pool
-        return None
 
 
 def _load_schema() -> dict:
@@ -143,16 +135,16 @@ def _parse_arg(raw: str, pools: dict[str, ObjectPool], path: str,
     if "$" in raw:
         m = _TAG_RE.match(raw)
         if m is None:
-            errors.append(_error(path, f"malformed tagged reference '{raw}'"))
+            errors.append(Diagnostic(path, f"malformed tagged reference '{raw}'"))
             return ArgRef("literal", raw)
         pool_id = m.group("pool")
         if pool_id not in pools:
-            errors.append(_error(path, f"tag references unknown object pool '{pool_id}'"))
+            errors.append(Diagnostic(path, f"tag references unknown object pool '{pool_id}'"))
             return ArgRef("literal", raw)
         offset = int(m.group("offset") or 0)
         if offset >= pools[pool_id].quantity:
             errors.append(
-                _error(
+                Diagnostic(
                     path,
                     f"offset +{offset} cannot fit in pool '{pool_id}' "
                     f"of quantity {pools[pool_id].quantity}",
@@ -168,21 +160,20 @@ def parse_config(text: str) -> GeneratorConfig:
     """Parse and structurally check a config document.
 
     Raises ConfigError carrying every diagnostic found, formatted as
-    ``path: severity: message``.
+    ``path: error: message``.
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError([_error("config", f"invalid JSON: {err}")]) from err
+        raise ConfigError([Diagnostic("config", f"invalid JSON: {err}")]) from err
 
     validator = jsonschema.Draft202012Validator(_load_schema())
     schema_errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if schema_errors:
-        raise ConfigError([_error(_json_path(e), e.message) for e in schema_errors])
+        raise ConfigError([Diagnostic(_json_path(e), e.message) for e in schema_errors])
 
     errors: list[Diagnostic] = []
     pools: dict[str, ObjectPool] = {}
-    pool_list: list[ObjectPool] = []
     for i, raw in enumerate(data["object_pools"]):
         pool = ObjectPool(
             id=raw["id"].lower(),
@@ -192,19 +183,18 @@ def parse_config(text: str) -> GeneratorConfig:
             usage=raw.get("usage", "random"),
         )
         if pool.id in pools:
-            errors.append(_error(f"config.object_pools[{i}].id",
-                                 f"duplicate object pool id '{pool.id}'"))
+            errors.append(Diagnostic(f"config.object_pools[{i}].id",
+                                     f"duplicate object pool id '{pool.id}'"))
             continue
         pools[pool.id] = pool
-        pool_list.append(pool)
 
     # Instantiated names must be unique across pools.
     owner: dict[str, str] = {}
-    for pool in pool_list:
+    for pool in pools.values():
         for name in pool.object_names:
             if name in owner:
                 errors.append(
-                    _error(
+                    Diagnostic(
                         "config.object_pools",
                         f"pools '{owner[name]}' and '{pool.id}' both "
                         f"instantiate an object named '{name}'",
@@ -218,7 +208,7 @@ def parse_config(text: str) -> GeneratorConfig:
         try:
             constant_init.append(parse_ground_atom(raw))
         except ValueError as err:
-            errors.append(_error(f"config.constant_init[{i}]", str(err)))
+            errors.append(Diagnostic(f"config.constant_init[{i}]", str(err)))
 
     def parse_section(section: str) -> tuple[PredicatePool, ...]:
         out: list[PredicatePool] = []
@@ -254,7 +244,7 @@ def parse_config(text: str) -> GeneratorConfig:
         for i, pp in enumerate(pps):
             if pp.id in seen_pp:
                 errors.append(
-                    _error(
+                    Diagnostic(
                         f"config.{section}[{i}].id",
                         f"duplicate predicate pool id '{pp.id}' "
                         f"(first declared in {seen_pp[pp.id]})",
@@ -273,16 +263,16 @@ def parse_config(text: str) -> GeneratorConfig:
             weights=tuple(float(w) for w in raw["weights"]),
         )
         if len(group.members) != len(group.weights):
-            errors.append(
-                _error(path, f"{len(group.members)} member(s) but {len(group.weights)} weight(s)")
-            )
+            errors.append(Diagnostic(
+                path, f"{len(group.members)} member(s) but {len(group.weights)} weight(s)"
+            ))
         for member in group.members:
             if member not in seen_pp:
-                errors.append(_error(f"{path}.members",
-                                     f"unknown predicate pool '{member}'"))
+                errors.append(Diagnostic(f"{path}.members",
+                                         f"unknown predicate pool '{member}'"))
             elif member in grouped:
                 errors.append(
-                    _error(
+                    Diagnostic(
                         f"{path}.members",
                         f"predicate pool '{member}' is already in mutex group '{grouped[member]}'",
                     )
@@ -290,7 +280,7 @@ def parse_config(text: str) -> GeneratorConfig:
             else:
                 grouped[member] = group.id
         if len(set(group.members)) != len(group.members):
-            errors.append(_error(f"{path}.members", "duplicate members in mutex group"))
+            errors.append(Diagnostic(f"{path}.members", "duplicate members in mutex group"))
         groups.append(group)
 
     if errors:
@@ -298,7 +288,7 @@ def parse_config(text: str) -> GeneratorConfig:
 
     return GeneratorConfig(
         domain=data["domain"].lower(),
-        object_pools=tuple(pool_list),
+        object_pools=pools,
         constant_init=tuple(constant_init),
         variable_init=variable_init,
         variable_goal=variable_goal,
@@ -313,21 +303,20 @@ def load_config(path: str | Path) -> GeneratorConfig:
 def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Diagnostic]:
     """Cross-check a parsed config against a parsed domain.
 
-    Returns diagnostics; an empty list means the config is usable.  Warnings
-    flag suspicious but generatable setups.
+    Returns diagnostics; an empty list means the config is usable.
     """
     out: list[Diagnostic] = []
     if config.domain != domain.name:
         out.append(
-            _error("config.domain",
-                   f"config targets domain '{config.domain}', got '{domain.name}'")
+            Diagnostic("config.domain",
+                       f"config targets domain '{config.domain}', got '{domain.name}'")
         )
 
     object_type: dict[str, str] = {}
-    for i, pool in enumerate(config.object_pools):
+    for i, pool in enumerate(config.object_pools.values()):
         path = f"config.object_pools[{i}]"
         if not is_known_type_in(domain.type_parents, pool.type):
-            out.append(_error(f"{path}.type", f"unknown type '{pool.type}'"))
+            out.append(Diagnostic(f"{path}.type", f"unknown type '{pool.type}'"))
             continue
         for name in pool.object_names:
             object_type[name] = pool.type
@@ -337,12 +326,12 @@ def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Dia
     def check_atom(predicate: str, arg_types: list[str | None], path: str) -> None:
         pred = predicates.get(predicate)
         if pred is None:
-            out.append(_error(path, f"unknown predicate '{predicate}'"))
+            out.append(Diagnostic(path, f"unknown predicate '{predicate}'"))
             return
         if len(arg_types) != pred.arity:
             out.append(
-                _error(path, f"predicate '{predicate}' expects {pred.arity} "
-                             f"argument(s), got {len(arg_types)}")
+                Diagnostic(path, f"predicate '{predicate}' expects {pred.arity} "
+                                 f"argument(s), got {len(arg_types)}")
             )
             return
         for k, (given, param) in enumerate(zip(arg_types, pred.params)):
@@ -350,7 +339,7 @@ def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Dia
                 continue
             if not domain.is_subtype(given, param.type):
                 out.append(
-                    _error(
+                    Diagnostic(
                         f"{path}.args[{k}]",
                         f"type '{given}' does not satisfy '{param.type}'",
                     )
@@ -361,13 +350,12 @@ def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Dia
         arg_types: list[str | None] = []
         for name in atom[1:]:
             if name not in object_type:
-                out.append(_error(path, f"unknown object '{name}'"))
+                out.append(Diagnostic(path, f"unknown object '{name}'"))
                 arg_types.append(None)
             else:
                 arg_types.append(object_type[name])
         check_atom(atom[0], arg_types, path)
 
-    referenced_pools: set[str] = set()
     for section, pps in (
         ("variable_init", config.variable_init),
         ("variable_goal", config.variable_goal),
@@ -375,36 +363,16 @@ def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Dia
         for i, pp in enumerate(pps):
             for j, tpl in enumerate(pp.atoms):
                 path = f"config.{section}[{i}].atoms[{j}]"
-                if tpl.probability == 0:
-                    out.append(_warning(path, "probability 0: atom can never be emitted"))
                 arg_types = []
                 for k, arg in enumerate(tpl.args):
                     if arg.kind == "pool":
-                        referenced_pools.add(arg.value)
-                        arg_types.append(config.pool(arg.value).type)
+                        arg_types.append(config.object_pools[arg.value].type)
                     elif arg.value in object_type:
                         arg_types.append(object_type[arg.value])
                     else:
                         out.append(
-                            _error(f"{path}.args[{k}]", f"unknown object '{arg.value}'")
+                            Diagnostic(f"{path}.args[{k}]", f"unknown object '{arg.value}'")
                         )
                         arg_types.append(None)
                 check_atom(tpl.predicate, arg_types, path)
-
-    literal_names = {a for atom in config.constant_init for a in atom[1:]}
-    for section in (config.variable_init, config.variable_goal):
-        for pp in section:
-            for tpl in pp.atoms:
-                for arg in tpl.args:
-                    if arg.kind == "literal":
-                        literal_names.add(arg.value)
-    for i, pool in enumerate(config.object_pools):
-        used = pool.id in referenced_pools or any(
-            name in literal_names for name in pool.object_names
-        )
-        if not used:
-            out.append(
-                _warning(f"config.object_pools[{i}]",
-                         f"object pool '{pool.id}' is never referenced")
-            )
     return out

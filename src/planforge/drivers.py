@@ -93,6 +93,11 @@ _REFPLAN_ARGS = (
 # is killed; covers starting a fresh worker interpreter and its imports.
 _KILL_GRACE_S = 2.0
 
+# Called by ``solve`` with each external planner's process group id as soon as
+# the planner starts.  Only a pool worker sets it (see ``_work``), to send the
+# id to the parent, which kills that group if it kills or reaps the worker.
+_report_planner_group = None
+
 
 @dataclass(frozen=True)
 class PlannerAdapter:
@@ -228,6 +233,8 @@ def solve(
         except OSError as err:
             wall = time.perf_counter() - start
             return SolveResult("crashed", None, wall, f"spawn failure: {err}")
+        if _report_planner_group is not None:
+            _report_planner_group(proc.pid)
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -488,7 +495,9 @@ def _solve_on_pool(
     A worker holds one problem at a time, whose clock starts when it is
     sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed and
     its problem is ``timeout``; one that dies leaves its problem
-    ``crashed``.  Only that worker is replaced; other problems run on.
+    ``crashed``.  Either way, the external planner's process group that the
+    worker reported is killed with it.  Only that worker is replaced; other
+    problems run on.
     Workers are joined before this returns, so their CPU time is this
     process's children's; idle ones are told to exit first, so that their
     exit handlers run.
@@ -497,7 +506,7 @@ def _solve_on_pool(
     limit = timeout + _KILL_GRACE_S
     todo = deque(range(len(problem_paths)))
     idle: list = []  # (process, connection) of workers waiting for a problem
-    busy: dict = {}  # connection -> (process, problem index, sent at)
+    busy: dict = {}  # connection -> (process, problem index, sent at, planner group)
     try:
         while todo or busy:
             while todo and len(busy) < workers:
@@ -513,25 +522,29 @@ def _solve_on_pool(
                     _stop(process, conn)
                     continue
                 conn.send(problem_paths[todo[0]])
-                busy[conn] = (process, todo.popleft(), time.monotonic())
-            oldest = min(sent for _, _, sent in busy.values())
+                busy[conn] = (process, todo.popleft(), time.monotonic(), None)
+            oldest = min(sent for _, _, sent, _ in busy.values())
             ready = wait(list(busy), max(0.0, oldest + limit - time.monotonic()))
             for conn in ready:
-                process, index, sent = busy.pop(conn)
+                process, index, sent, group = busy.pop(conn)
                 try:
                     result = conn.recv()
-                    idle.append((process, conn))
                 except EOFError:
-                    _stop(process, conn)
+                    _stop(process, conn, group)
                     result = SolveResult(
                         "crashed", None, time.monotonic() - sent,
                         f"worker died with exit code {process.exitcode}",
                     )
+                else:
+                    if isinstance(result, int):  # its planner's group, as it starts
+                        busy[conn] = (process, index, sent, result)
+                        continue
+                    idle.append((process, conn))
                 yield index, result
             now = time.monotonic()
-            for conn in [c for c, (_, _, sent) in busy.items() if now - sent >= limit]:
-                process, index, sent = busy.pop(conn)
-                _stop(process, conn)
+            for conn in [c for c, (_, _, sent, _) in busy.items() if now - sent >= limit]:
+                process, index, sent, group = busy.pop(conn)
+                _stop(process, conn, group)
                 yield index, SolveResult(
                     "timeout", None, now - sent, f"worker killed after {limit}s"
                 )
@@ -542,8 +555,8 @@ def _solve_on_pool(
         for process, conn in idle:
             process.join()
             conn.close()
-        for conn, (process, _, _) in busy.items():
-            _stop(process, conn)
+        for conn, (process, _, _, group) in busy.items():
+            _stop(process, conn, group)
         # Starting a spawned process also started multiprocessing's resource
         # tracker, a helper that would outlive this call; stop and reap it
         # like the workers.  No public way to do so exists.
@@ -552,14 +565,20 @@ def _solve_on_pool(
 
 def _work(conn, adapter: PlannerAdapter, domain_path: str | Path, timeout: float) -> None:
     """Answer each problem path received on ``conn`` with ``solve``'s
-    result until ``None`` arrives.  ``solve`` is looked up on the module,
-    so that a wrapper set there sees every solve."""
+    result until ``None`` arrives, sending an external planner's process
+    group id first, as the planner starts.  ``solve`` is looked up on the
+    module, so that a wrapper set there sees every solve."""
+    global _report_planner_group
+    _report_planner_group = conn.send
     while (problem_path := conn.recv()) is not None:
         conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
 
 
-def _stop(process: multiprocessing.Process, conn) -> None:
-    """Kill a worker, reap it and close its end of the pipe."""
+def _stop(process: multiprocessing.Process, conn, group: int | None = None) -> None:
+    """Kill a worker and the planner group it last reported, reap the
+    worker and close its end of the pipe."""
     process.kill()
+    if group is not None:
+        _kill_group(group)
     process.join()
     conn.close()

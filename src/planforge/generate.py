@@ -5,12 +5,14 @@ Determinism contract: draw ``i`` of a run samples from its own substream
 time.  Resuming an interrupted batch replays the journal prefix (verifying
 fingerprints) and then continues; the final directory is byte-identical to an
 uninterrupted run.  Problem files are written before their journal line, so a
-journal entry always refers to an existing file.
+journal entry always refers to an existing file.  A config with any
+diagnostic against the domain is refused before the first draw.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,14 +38,6 @@ def _is_fingerprint(token: str) -> bool:
 
 def fingerprint_problem(problem: Problem) -> str:
     return fingerprint_text(serialize_problem(problem))
-
-
-def instantiate_objects(config: GeneratorConfig) -> tuple[tuple[str, str], ...]:
-    """All pool objects as (name, type) pairs, pool declaration order."""
-    out: list[tuple[str, str]] = []
-    for pool in config.object_pools:
-        out.extend((name, pool.type) for name in pool.object_names)
-    return tuple(out)
 
 
 class _PoolState:
@@ -101,18 +95,16 @@ def _label_offsets(pp: PredicatePool) -> dict[tuple[str, str], tuple[int, ...]]:
 
 
 def sample_problem(
-    config: GeneratorConfig, domain: Domain, rng: random.Random, name: str | None = None
+    config: GeneratorConfig, domain: Domain, rng: random.Random
 ) -> tuple[Problem, bool]:
     """Draw one problem.  Returns (problem, trivial) where trivial means the
     goal already holds in the initial state."""
-    objects = instantiate_objects(config)
     init: set[Atom] = set(config.constant_init)
     goal: list[Atom] = []
 
-    pool_states = {pool.id: _PoolState(pool) for pool in config.object_pools}
+    pool_states = {pool.id: _PoolState(pool) for pool in config.object_pools.values()}
 
     # One categorical draw per mutex group picks the surviving member.
-    chosen: set[str] = set()
     suppressed: set[str] = set()
     for group in config.mutex_groups:
         total = sum(group.weights)
@@ -124,7 +116,6 @@ def sample_problem(
             if pick < acc:
                 selected = member
                 break
-        chosen.add(selected)
         suppressed.update(m for m in group.members if m != selected)
 
     def sample_pool(pp: PredicatePool, sink_init: bool) -> None:
@@ -166,9 +157,13 @@ def sample_problem(
                               "atom probability 1")
 
     problem = Problem(
-        name=name or f"{config.domain}-task",
+        name=f"{config.domain}-task",
         domain=config.domain,
-        objects=objects,
+        objects=tuple(
+            (name, pool.type)
+            for pool in config.object_pools.values()
+            for name in pool.object_names
+        ),
         init=frozenset(init),
         goal=tuple(Literal(a) for a in goal),
     )
@@ -206,14 +201,15 @@ def generate_batch(
 ) -> GenerationResult:
     """Emit ``count`` unique problems, resuming from the journal if present.
 
-    Aborts once ``MAX_CONSECUTIVE_FAILURES`` draws in a row produce nothing
-    new, which signals an (almost) exhausted configuration space.
+    The log, if a path is given, gets a header line, one line per new
+    problem and a totals line.  Aborts once ``MAX_CONSECUTIVE_FAILURES``
+    draws in a row produce nothing new, which signals an (almost) exhausted
+    configuration space.
     """
     diags = validate_against_domain(config, domain)
-    hard = [d for d in diags if d.severity == "error"]
-    if hard:
+    if diags:
         raise GenerationError(
-            "config does not fit the domain:\n" + "\n".join(str(d) for d in hard)
+            "config does not fit the domain:\n" + "\n".join(str(d) for d in diags)
         )
 
     problems_dir.mkdir(parents=True, exist_ok=True)
@@ -231,15 +227,12 @@ def generate_batch(
     consecutive_failures = 0
     draw_index = 0
 
-    log_file = open(log_path, "a") if log_path else None
-    journal_file = open(journal_path, "a")
-    try:
-        if log_file:
-            log_file.write(
-                f"# generate domain={config.domain} seed={seed} target={count} "
-                f"resume_at={len(journal)}\n"
-            )
-            log_file.flush()
+    with open(log_path or os.devnull, "a") as log, open(journal_path, "a") as journal_file:
+        log.write(
+            f"# generate domain={config.domain} seed={seed} target={count} "
+            f"resume_at={len(journal)}\n"
+        )
+        log.flush()
         while len(seen) < count:
             rng = random.Random(f"{seed}:{draw_index}")
             draw_index += 1
@@ -289,23 +282,17 @@ def generate_batch(
                 journal_file.write(fp + "\n")
                 journal_file.flush()
                 result.new_emissions += 1
-                if log_file:
-                    marker = " trivial" if trivial else ""
-                    log_file.write(
-                        f"{index:06d} {fp} draws={draw_index} "
-                        f"init={len(problem.init)} goal={len(problem.goal)}{marker}\n"
-                    )
-                    log_file.flush()
+                marker = " trivial" if trivial else ""
+                log.write(
+                    f"{index:06d} {fp} draws={draw_index} "
+                    f"init={len(problem.init)} goal={len(problem.goal)}{marker}\n"
+                )
+                log.flush()
             result.problem_files.append(path)
         result.draws = draw_index
-        if log_file:
-            log_file.write(
-                f"# done emitted={len(seen)} draws={draw_index} "
-                f"duplicates={result.duplicates} degenerate={result.degenerate} "
-                f"trivial={result.trivial}\n"
-            )
-    finally:
-        journal_file.close()
-        if log_file:
-            log_file.close()
+        log.write(
+            f"# done emitted={len(seen)} draws={draw_index} "
+            f"duplicates={result.duplicates} degenerate={result.degenerate} "
+            f"trivial={result.trivial}\n"
+        )
     return result

@@ -20,8 +20,8 @@ to continue silently when the inputs changed.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +37,7 @@ from planforge.dataset import (
 )
 from planforge.dpgc import load_config
 from planforge.drivers import PlannerAdapter, load_adapters, plan_batch
-from planforge.generate import GenerationError, generate_batch
+from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
 
 
@@ -50,8 +50,7 @@ class StageError(RuntimeError):
 
 
 def stage_fingerprint(parts: dict) -> str:
-    payload = json.dumps(parts, sort_keys=True).encode("utf-8")
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+    return fingerprint_text(json.dumps(parts, sort_keys=True))
 
 
 @dataclass
@@ -327,6 +326,12 @@ def load_pipeline_config(path: str | Path) -> dict:
     quotas = data.get("quotas")
     if not isinstance(quotas, dict) or not quotas:
         raise StageError(f"{path}: pipeline config needs a non-empty 'quotas' object")
+    workers = data.get("workers", 1)
+    if not isinstance(workers, int) or workers < 1:
+        raise StageError(f"{path}: 'workers' must be a whole number of one or more")
+    timeout = data.get("timeout")
+    if timeout is not None and not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
+        raise StageError(f"{path}: 'timeout' must be a finite number of seconds above zero")
     data.setdefault("adapter", "internal")
     base = path.resolve().parent
     for entry in domains:

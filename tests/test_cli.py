@@ -342,17 +342,37 @@ def test_eval_limit_truncates(cli_session, tmp_path, stub_endpoint, capsys):
     assert "requests: 1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--retries", "--limit"])
-def test_eval_rejects_negative_counts(tmp_path, capsys, flag):
+EVAL_ARGV = ["eval", "--dataset", "{tmp}/val.json", "--endpoint", "http://localhost:1/x",
+             "--out", "{tmp}/r"]
+
+
+@pytest.mark.parametrize("argv, flag, value, message", [
+    pytest.param(EVAL_ARGV, "--retries", "-1", "must be zero or more", id="--retries"),
+    pytest.param(EVAL_ARGV, "--limit", "-1", "must be zero or more", id="--limit"),
+    pytest.param(EVAL_ARGV, "--timeout", "0", "must be finite and above zero",
+                 id="eval--timeout"),
+    pytest.param(["gen-problems", "--config", "c.json", "--domain", "d.pddl",
+                  "--seed", "7", "--session", "{tmp}/r"],
+                 "--count", "-3", "must be zero or more", id="gen-problems--count"),
+    pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "-5",
+                 "must be finite and above zero", id="plan--timeout"),
+    pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "0",
+                 "must be finite and above zero", id="plan--timeout-zero"),
+    pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "inf",
+                 "must be finite and above zero", id="plan--timeout-inf"),
+    pytest.param(["plan", "--session", "{tmp}/r"], "--workers", "0",
+                 "must be one or more", id="plan--workers"),
+    pytest.param(["assemble", "--session", "{tmp}/s", "--out", "{tmp}/r", "--seed", "1",
+                  "--val", "2"], "--train", "-5", "must be zero or more",
+                 id="assemble--train"),
+])
+def test_eval_rejects_negative_counts(tmp_path, capsys, argv, flag, value, message):
     dataset = tmp_path / "val.json"
     dataset.write_text(json.dumps([{"instruction": "x", "input": "y", "output": "z"}]))
     with pytest.raises(SystemExit) as exit_info:
-        main([
-            "eval", "--dataset", str(dataset), "--endpoint", "http://localhost:1/x",
-            "--out", str(tmp_path / "r"), flag, "-1",
-        ])
+        main([arg.format(tmp=tmp_path) for arg in argv] + [flag, value])
     assert exit_info.value.code == 1
-    assert f"argument {flag}: must be zero or more, not -1" in capsys.readouterr().err
+    assert f"argument {flag}: {message}, not {value}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

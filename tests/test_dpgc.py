@@ -52,7 +52,7 @@ def errors_of(text):
 def test_parse_base_config():
     cfg = parse_config(json.dumps(BASE))
     assert cfg.domain == "artic3"
-    links, angles = cfg.object_pools
+    links, angles = cfg.object_pools.values()
     assert links.object_names == ("link1", "link2", "link3")
     assert links.usage == "random"
     assert angles.usage == "sequential"
@@ -70,8 +70,16 @@ def test_parse_base_config():
 def test_bundled_configs_load_and_check(artic3, artic3_config, artic3m, artic3m_config):
     assert validate_against_domain(artic3_config, artic3) == []
     assert validate_against_domain(artic3m_config, artic3m) == []
+    # an atom that is never drawn and a pool that nothing uses can be generated
+    never_drawn = copy.deepcopy(BASE)
+    never_drawn["variable_goal"][0]["atoms"][0]["probability"] = 0
+    unused_pool = copy.deepcopy(BASE)
+    unused_pool["object_pools"].append(
+        {"id": "spare", "type": "gripper", "prefix": "g", "quantity": 2})
+    for data in (never_drawn, unused_pool):
+        assert validate_against_domain(parse_config(json.dumps(data)), artic3) == []
     assert artic3_config.domain == "artic3"
-    assert {p.id for p in artic3_config.object_pools} == {
+    assert {p.id for p in artic3_config.object_pools.values()} == {
         "gripper-pool", "base-pool", "link-pool", "angle-pool",
     }
     (group,) = artic3_config.mutex_groups
@@ -186,7 +194,7 @@ def test_parse_ground_atom():
 
 
 def test_diagnostic_format():
-    d = Diagnostic("config.object_pools[0].id", "error", "boom")
+    d = Diagnostic("config.object_pools[0].id", "boom")
     assert str(d) == "config.object_pools[0].id: error: boom"
 
 
@@ -215,29 +223,6 @@ def test_validate_against_domain_errors(artic3):
     cfg = parse_config(json.dumps(bad))
     msgs = [str(d) for d in validate_against_domain(cfg, artic3)]
     assert any("type 'angle' does not satisfy 'link'" in m for m in msgs)
-
-
-def test_validate_against_domain_warnings(artic3):
-    bad = copy.deepcopy(BASE)
-    bad["variable_goal"][0]["atoms"][0]["probability"] = 0
-    cfg = parse_config(json.dumps(bad))
-    diags = validate_against_domain(cfg, artic3)
-    assert [d.severity for d in diags] == ["warning"]
-    assert "probability 0" in diags[0].message
-
-    unused = copy.deepcopy(BASE)
-    unused["object_pools"].append(
-        {"id": "spare", "type": "gripper", "prefix": "g", "quantity": 2})
-    cfg = parse_config(json.dumps(unused))
-    diags = validate_against_domain(cfg, artic3)
-    assert any(d.severity == "warning" and "spare" in d.message for d in diags)
-
-    # a pool is "used" when its objects appear as literals
-    used = copy.deepcopy(unused)
-    used["constant_init"].append("(free g1)")
-    cfg = parse_config(json.dumps(used))
-    diags = validate_against_domain(cfg, artic3)
-    assert not any("spare" in d.message for d in diags)
 
 
 def test_load_config_reads_files(tmp_path):

@@ -554,14 +554,18 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
             not pids.exists() or len(pids.read_text().splitlines()) < 2
         ):
             time.sleep(0.01)
-        (_, worker, victim_problem), (sibling, sibling_worker, _) = (
+        (victim, worker, victim_problem), (sibling, sibling_worker, _) = (
             line.split() for line in pids.read_text().splitlines()
         )
         assert worker != sibling_worker  # both planners run at once
+        # a worker reports its planner's group as soon as the planner starts;
+        # give that report time to arrive
+        time.sleep(0.2)
         # the worker dies from outside, as under the kernel's out-of-memory killer
         os.kill(int(worker), signal.SIGKILL)
         batch.join(timeout=60)
         assert not batch.is_alive()
+        victim_alive = _group_alive(int(victim))
         sibling_alive = _group_alive(int(sibling))
     finally:
         for line in pids.read_text().splitlines() if pids.exists() else ():
@@ -573,6 +577,8 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
     # the sibling got its own planner's answer, which killed the planner
     assert (timed_out.status, timed_out.detail) == ("timeout", "killed after 2s")
     assert not sibling_alive
+    # the dead worker's planner was killed with it, not left to run unwatched
+    assert not victim_alive
     assert multiprocessing.active_children() == []
 
 

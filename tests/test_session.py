@@ -288,6 +288,8 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
         ({"domains": []}, "non-empty 'domains'"),
         ({"domains": [{"domain": "x"}]}, "missing 'dpgc'"),
         ({"quotas": {}}, "non-empty 'quotas'"),
+        ({"workers": 0}, "'workers' must be a whole number of one or more"),
+        ({"timeout": -5}, "'timeout' must be a finite number of seconds above zero"),
     ):
         data = json.loads(write_pipeline_config(tmp_path).read_text())
         data.update(broken)
