@@ -38,7 +38,7 @@ def _count(text: str) -> int:
     return value
 
 
-def _workers(text: str) -> int:
+def _one_or_more(text: str) -> int:
     """A whole number of one or more, as an argparse type."""
     value = int(text)
     if value < 1:
@@ -230,7 +230,7 @@ def build_parser() -> _Parser:
     p.add_argument("--adapter", default="internal", help="adapter name")
     p.add_argument("--adapters", default=None, help="adapter registry file")
     p.add_argument("--timeout", type=_seconds, default=None, help="per-problem seconds")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_one_or_more, default=1)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("assemble", help="assemble dataset splits from sessions")
@@ -259,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", required=True, help="completion endpoint URL")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--temperature", type=float, default=0.01)
-    p.add_argument("--token-budget", type=int, default=3096)
+    p.add_argument("--token-budget", type=_one_or_more, default=3096)
     p.add_argument("--timeout", type=_seconds, default=120.0)
     p.add_argument("--retries", type=_count, default=0)
     p.add_argument("--limit", type=_count, default=None, help="evaluate first N only")

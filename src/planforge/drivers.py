@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -318,22 +319,23 @@ def reference_plan(
 
     Returns None only when the whole reachable space was exhausted, which
     proves unsolvability.  Ties between equal-length plans are broken by the
-    deterministic candidate order of ``ground_actions``.  Raises
+    deterministic candidate order of ``iter_applicable_candidates``.  Raises
     ExpansionBudgetExceeded when the search grows past ``max_expansions``
     dequeued states, and TimeoutError when ``time.monotonic()`` has passed
     ``deadline``, checked after grounding and every 64 expansions.
 
-    The candidates of ``iter_applicable_candidates`` are compiled once into
-    frozensets of atoms (see ``_compile``).  Every static and ``=`` literal,
-    in preconditions, effect conditions and the goal, is decided against the
-    initial state first, so testing a candidate is two set operations and a
-    successor is ``(state - deletes) | adds``.
+    The candidates come compiled from ``_compiled_candidates``, shared by
+    every problem with the same objects and static facts, so a corpus is
+    grounded once per process.  Only the goal is folded per problem.  Every
+    static and ``=`` literal is decided against the initial state first, so
+    testing a candidate is two set operations and a successor is
+    ``(state - deletes) | adds``.
     """
     statics = static_predicates(domain)
     init = problem.init
-    # Drained before compiling, so that grounding is timed on its own.
-    ground = list(iter_applicable_candidates(domain, problem))
-    candidates = [_compile(action, statics, init) for action in ground]
+    candidates = _compiled_candidates(
+        domain, problem.objects, frozenset(a for a in init if a[0] in statics)
+    )
     goal_statics_hold, goal_pos, goal_neg = _fold(problem.goal, statics, init)
 
     def is_goal(state: State) -> bool:
@@ -376,6 +378,21 @@ def reference_plan(
                 return steps
             queue.append(successor)
     return None
+
+
+@functools.lru_cache(maxsize=8)
+def _compiled_candidates(
+    domain: Domain, objects: tuple[tuple[str, str], ...], static_init: State
+) -> tuple[tuple, ...]:
+    """The compiled candidates (see ``_compile``) of every problem of
+    ``domain`` with these objects and these initial static atoms.  Grounding
+    and compiling read nothing else of a problem, so they run against a
+    problem whose init is just those atoms."""
+    shape = Problem("", domain.name, objects, static_init, ())
+    statics = static_predicates(domain)
+    # Drained before compiling, so that grounding is timed on its own.
+    ground = list(iter_applicable_candidates(domain, shape))
+    return tuple(_compile(action, statics, static_init) for action in ground)
 
 
 def _fold(

@@ -63,11 +63,14 @@ def _estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-def extract_completion(data: dict) -> str:
-    for key in _RESPONSE_PATHS:
+def extract_completion(data) -> str:
+    """The completion text of a decoded response body; EndpointError for any
+    body that is not an object holding one of ``_RESPONSE_PATHS``."""
+    for key in _RESPONSE_PATHS if isinstance(data, dict) else ():
         text = data.get(key)
         if key in ("choices", "results"):  # lists of {"text": ...}
-            text = text[0].get("text") if isinstance(text, list) and text else None
+            first = text[0] if isinstance(text, list) and text else None
+            text = first.get("text") if isinstance(first, dict) else None
         if isinstance(text, str):
             return text
     raise EndpointError(

@@ -21,7 +21,6 @@ from planforge.pddl.ground import (
     apply_effects,
     goal_satisfied,
     ground_action_for,
-    ground_actions,
     holds,
     iter_applicable_candidates,
     static_predicates,
@@ -45,7 +44,6 @@ __all__ = [
     "apply_effects",
     "goal_satisfied",
     "ground_action_for",
-    "ground_actions",
     "holds",
     "iter_applicable_candidates",
     "static_predicates",

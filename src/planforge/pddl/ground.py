@@ -8,12 +8,10 @@ accumulated across firing branches are applied before any adds.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 
 from planforge.pddl.model import (
     EQ,
-    Atom,
     Domain,
     GroundAction,
     Literal,
@@ -78,17 +76,6 @@ def apply_action(state: State, action: GroundAction) -> State:
     return apply_effects(state, action)
 
 
-def ground_actions(domain: Domain, problem: Problem) -> list[GroundAction]:
-    """Every type-consistent instantiation, schema order then lexicographic
-    argument order.  No reachability or static filtering is applied."""
-    out: list[GroundAction] = []
-    for action in domain.actions:
-        pools = [problem.objects_of_type(domain, p.type) for p in action.params]
-        for args in itertools.product(*pools):
-            out.append(ground_schema(action, args))
-    return out
-
-
 def ground_action_for(
     domain: Domain, problem: Problem, name: str, args: tuple[str, ...]
 ) -> GroundAction:
@@ -125,50 +112,22 @@ def static_predicates(domain: Domain) -> frozenset[str]:
 
 
 def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[GroundAction]:
-    """Ground actions in ``ground_actions`` order, skipping instantiations
-    whose static precondition atoms are false in the initial state.  Statics
-    never change, so skipped instantiations are inapplicable in every
-    reachable state and the relative order of applicable actions is kept.
+    """Every type-consistent instantiation whose static and ``=`` precondition
+    literals hold in the initial state, in schema order, then lexicographic
+    argument order.  Statics never change, so a skipped instantiation is
+    inapplicable in every reachable state, and the relative order of the
+    applicable ones is kept.
 
-    Parameters are bound one at a time, in declaration order.  Each static
-    or ``=`` precondition literal is compiled to a tuple of argument slots
-    and checked against the initial state as soon as its last parameter is
-    bound.  When a positive static literal's last parameter is the next one
-    to bind, that parameter's values come from an index of the initial
-    facts of the literal's predicate, keyed by the literal's other terms and
-    kept in pool order, instead of from the parameter's whole type pool:
-    ``(next-cw ?from ?to)`` yields the one ``?to`` after ``?from``.
+    Parameters are bound one at a time, in declaration order, each from its
+    type pool.  Each static or ``=`` precondition literal is compiled to a
+    tuple of argument slots and checked against the initial state as soon as
+    its last parameter is bound, so a failing prefix is never extended.
     """
     statics = static_predicates(domain)
     init = problem.init
-    facts: dict[str, list[Atom]] = {}
-    for atom in init:
-        facts.setdefault(atom[0], []).append(atom)
-    pools: dict[str, list[str]] = {}
-    indexes: dict[tuple, dict[tuple[str, ...], list[str]]] = {}
-
-    def pool(type_name: str) -> list[str]:
-        if type_name not in pools:
-            pools[type_name] = problem.objects_of_type(domain, type_name)
-        return pools[type_name]
-
-    def index(pred: str, key_at: tuple[int, ...], value_at: int, type_name: str):
-        """Values at ``value_at`` of ``pred``'s initial facts that are in the
-        pool of ``type_name``, in pool order, keyed by the terms at ``key_at``."""
-        key = (pred, key_at, value_at, type_name)
-        if key not in indexes:
-            rank = {obj: i for i, obj in enumerate(pool(type_name))}
-            found: dict[tuple[str, ...], set[str]] = {}
-            for atom in facts.get(pred, ()):
-                if atom[value_at] in rank:
-                    found.setdefault(tuple(atom[i] for i in key_at), set()).add(
-                        atom[value_at]
-                    )
-            indexes[key] = {k: sorted(v, key=rank.__getitem__) for k, v in found.items()}
-        return indexes[key]
-
     for action in domain.actions:
         arity = action.arity
+        pools = [problem.objects_of_type(domain, p.type) for p in action.params]
         slot_of = {t: i for i, t in enumerate(action.terms)}
         # values[:arity] holds the arguments bound so far, the rest constants.
         values = list(action.terms)
@@ -184,17 +143,6 @@ def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[Gro
             slots = tuple(slot_of[t] for t in literal.atom[1:])
             depth = max((s + 1 for s in slots if s < arity), default=0)
             checks[depth].append((pred, slots, literal.positive))
-        # sources[k]: where parameter k's values come from
-        sources: list[tuple[dict | None, tuple[int, ...], list[str]]] = []
-        for k, param in enumerate(action.params):
-            source = (None, (), pool(param.type))
-            for pred, slots, positive in checks[k + 1]:
-                if positive and pred != EQ:
-                    key_at = tuple(i + 1 for i, s in enumerate(slots) if s != k)
-                    found = index(pred, key_at, slots.index(k) + 1, param.type)
-                    source = (found, tuple(slots[i - 1] for i in key_at), [])
-                    break
-            sources.append(source)
 
         def walk(depth: int) -> Iterator[GroundAction]:
             for pred, slots, positive in checks[depth]:
@@ -207,10 +155,7 @@ def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[Gro
             if depth == arity:
                 yield ground_schema(action, tuple(values[:arity]))
                 return
-            found, key_slots, objs = sources[depth]
-            if found is not None:
-                objs = found.get(tuple([values[s] for s in key_slots]), ())
-            for obj in objs:
+            for obj in pools[depth]:
                 values[depth] = obj
                 yield from walk(depth + 1)
 

@@ -307,6 +307,11 @@ def stage_assemble(
     return manifest
 
 
+def _is_whole(value) -> bool:
+    """Whether a config value is a whole number; JSON true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_pipeline_config(path: str | Path) -> dict:
     """Read and check a pipeline config document."""
     path = Path(path)
@@ -323,11 +328,18 @@ def load_pipeline_config(path: str | Path) -> dict:
         for key in ("domain", "dpgc", "count"):
             if key not in entry:
                 raise StageError(f"{path}: domains[{i}] is missing '{key}'")
+        if not _is_whole(entry["count"]) or entry["count"] < 1:
+            raise StageError(
+                f"{path}: domains[{i}].count must be a whole number of one or more"
+            )
     quotas = data.get("quotas")
     if not isinstance(quotas, dict) or not quotas:
         raise StageError(f"{path}: pipeline config needs a non-empty 'quotas' object")
+    for name, quota in quotas.items():
+        if not _is_whole(quota):
+            raise StageError(f"{path}: quota '{name}' must be a whole number")
     workers = data.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_whole(workers) or workers < 1:
         raise StageError(f"{path}: 'workers' must be a whole number of one or more")
     timeout = data.get("timeout")
     if timeout is not None and not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
@@ -354,7 +366,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     pipeline = Session(root)
     seed = config["seed"]
     adapter = load_adapter(config["adapter"], config.get("adapters_file"))
-    quotas = {name: int(v) for name, v in config["quotas"].items()}
+    quotas = config["quotas"]
     try:
         needed_per_domain = sum(
             per_domain_quotas(quotas, len(config["domains"])).values()
@@ -367,7 +379,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     for entry in config["domains"]:
         domain_name = parse_domain(Path(entry["domain"]).read_text()).name
         sub = Session(root / domain_name)
-        target = int(entry["count"])
+        target = entry["count"]
         usable = 0
         rounds = 0
         while True:
@@ -377,7 +389,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
                 sub,
                 adapter,
                 timeout=config.get("timeout"),
-                workers=int(config.get("workers", 1)),
+                workers=config.get("workers", 1),
             )
             records, skipped = collect_records(sub)
             usable = len(records)

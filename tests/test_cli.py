@@ -351,6 +351,10 @@ EVAL_ARGV = ["eval", "--dataset", "{tmp}/val.json", "--endpoint", "http://localh
     pytest.param(EVAL_ARGV, "--limit", "-1", "must be zero or more", id="--limit"),
     pytest.param(EVAL_ARGV, "--timeout", "0", "must be finite and above zero",
                  id="eval--timeout"),
+    pytest.param(EVAL_ARGV, "--token-budget", "-5", "must be one or more",
+                 id="eval--token-budget"),
+    pytest.param(EVAL_ARGV, "--token-budget", "0", "must be one or more",
+                 id="eval--token-budget-zero"),
     pytest.param(["gen-problems", "--config", "c.json", "--domain", "d.pddl",
                   "--seed", "7", "--session", "{tmp}/r"],
                  "--count", "-3", "must be zero or more", id="gen-problems--count"),

@@ -29,8 +29,9 @@ from planforge.drivers import (
     runs_in_process,
     solve,
 )
+from planforge.dpgc import parse_config
 from planforge.generate import generate_batch
-from planforge.pddl import parse_domain, parse_problem
+from planforge.pddl import parse_domain, parse_problem, static_predicates
 from planforge.session import Session, stage_generate, stage_plan
 
 
@@ -361,6 +362,61 @@ def test_search_matches_the_literal_search_on_negative_preconditions():
         assert plan == literal_bfs(domain, problem), goal
         lengths.append(None if plan is None else len(plan))
     assert lengths == [2, 1, None]
+
+
+def static_shape(domain, problem):
+    statics = static_predicates(domain)
+    return problem.objects, frozenset(a for a in problem.init if a[0] in statics)
+
+
+def test_problems_with_varying_static_facts_miss_the_candidate_cache(tmp_path, artic3):
+    # is-rotatable is static; drawn per problem, it changes the candidates
+    raw = json.loads((assets_dir() / "artic3.dpgc.json").read_text())
+    raw["constant_init"] = [a for a in raw["constant_init"] if "is-rotatable" not in a]
+    raw["variable_init"].append({"id": "rotatable", "atoms": [
+        {"predicate": "is-rotatable", "args": ["link-pool"]}]})
+    config = parse_config(json.dumps(raw))
+    generate_batch(config, artic3, 12, 5, tmp_path / "problems", tmp_path / "journal.fp")
+    problems = [parse_problem(path.read_text(), artic3)
+                for path in sorted((tmp_path / "problems").iterdir())]
+    shapes = {static_shape(artic3, problem) for problem in problems}
+    assert len(shapes) == 2
+
+    drivers._compiled_candidates.cache_clear()
+    plans = [reference_plan(artic3, problem) for problem in problems]
+    assert drivers._compiled_candidates.cache_info().misses == len(shapes)
+    assert plans == [literal_bfs(artic3, problem) for problem in problems]
+    assert any(plans)
+
+
+def test_problems_with_different_objects_never_share_candidates():
+    domain = parse_domain(EDGES)
+    alone = parse_problem(EDGES_PROBLEM.format(goal="(on h2 p3)"), domain)
+    extra = parse_problem(
+        EDGES_PROBLEM.replace("h1 h2 - heavy", "h1 h2 h3 - heavy")
+        .replace("(on b1 p3)", "(on b1 p3) (on h3 p2)")
+        .format(goal="(on h3 p3)"),
+        domain,
+    )
+    assert static_shape(domain, alone)[1] == static_shape(domain, extra)[1]
+
+    drivers._compiled_candidates.cache_clear()
+    assert reference_plan(domain, alone) == [("move-heavy", "h2", "p2", "p3")]
+    assert reference_plan(domain, extra) == [("move-heavy", "h3", "p2", "p3")]
+    assert drivers._compiled_candidates.cache_info().misses == 2
+
+
+def test_budget_and_deadline_on_a_cache_hit(artic3, micro):
+    drivers._compiled_candidates.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        with pytest.raises(ExpansionBudgetExceeded):
+            reference_plan(artic3, micro, max_expansions=2)
+        with pytest.raises(TimeoutError):
+            reference_plan(artic3, micro, deadline=time.monotonic() - 1)
+    info = drivers._compiled_candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # an interrupted search leaves the shared candidates as they were
+    assert reference_plan(artic3, micro) == literal_bfs(artic3, micro)
 
 
 @pytest.mark.parametrize("extra_goal, solvable", [

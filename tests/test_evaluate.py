@@ -50,6 +50,12 @@ def test_extract_completion_fallbacks():
         extract_completion({"answer": "e"})
     with pytest.raises(EndpointError):
         extract_completion({"choices": []})
+    # bodies that are not objects, and entries that are not objects
+    for body in (["a"], "a", None, {"choices": ["a"]}, {"results": [3]}):
+        with pytest.raises(EndpointError, match="unrecognized response shape"):
+            extract_completion(body)
+    # an unreadable entry falls through to the next path like a missing one
+    assert extract_completion({"choices": [None], "text": "c"}) == "c"
 
 
 def test_check_reachable(stub_endpoint):
@@ -108,6 +114,24 @@ def test_run_inference_records_server_errors(stub_endpoint, artic3_domain_text,
     (record,) = run_inference([entry], EndpointConfig(url=server.url))
     assert record.status == "error"
     assert "503" in record.detail
+
+
+def test_run_inference_retries_and_records_unreadable_bodies(
+        tmp_path, stub_endpoint, artic3_domain_text, micro_text):
+    bodies = []
+
+    def reply(payload):
+        bodies.append(payload)
+        return {"choices": ["not an object"]}
+
+    server = stub_endpoint(reply)
+    entries = [micro_entry(artic3_domain_text, micro_text) for _ in range(2)]
+    out_path = tmp_path / "inferences.jsonl"
+    records = run_inference(entries, EndpointConfig(url=server.url, retries=1), out_path)
+    assert len(bodies) == 4  # each request once, then once more
+    assert [r.status for r in records] == ["error", "error"]
+    assert all("unrecognized response shape" in r.detail for r in records)
+    assert len(out_path.read_text().splitlines()) == 2
 
 
 def test_salvage_plan_drops_one_truncated_tail():

@@ -289,6 +289,17 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
         ({"domains": [{"domain": "x"}]}, "missing 'dpgc'"),
         ({"quotas": {}}, "non-empty 'quotas'"),
         ({"workers": 0}, "'workers' must be a whole number of one or more"),
+        ({"workers": True}, "'workers' must be a whole number of one or more"),
+        ({"domains": [{"domain": "x", "dpgc": "y", "count": -3}]},
+         r"domains\[0\]\.count must be a whole number of one or more"),
+        ({"domains": [{"domain": "x", "dpgc": "y", "count": 0}]},
+         r"domains\[0\]\.count must be a whole number"),
+        ({"domains": [{"domain": "x", "dpgc": "y", "count": 2.7}]},
+         r"domains\[0\]\.count must be a whole number"),
+        ({"domains": [{"domain": "x", "dpgc": "y", "count": True}]},
+         r"domains\[0\]\.count must be a whole number"),
+        ({"quotas": {"train": 2.5}}, "quota 'train' must be a whole number"),
+        ({"quotas": {"train": True}}, "quota 'train' must be a whole number"),
         ({"timeout": -5}, "'timeout' must be a finite number of seconds above zero"),
     ):
         data = json.loads(write_pipeline_config(tmp_path).read_text())
