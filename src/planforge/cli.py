@@ -54,6 +54,14 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _temperature(text: str) -> float:
+    """A finite number of zero or more, as an argparse type."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and zero or more, not {text}")
+    return value
+
+
 def cmd_gen_problems(args) -> int:
     from planforge.session import Session, stage_generate
 
@@ -151,9 +159,14 @@ def cmd_eval(args) -> int:
     entries = json.loads(Path(args.dataset).read_text())
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{args.dataset}: expected a non-empty array of records")
+    fields = ("instruction", "input", "output")
     for i, entry in enumerate(entries):
-        if not all(k in entry for k in ("instruction", "input", "output")):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{args.dataset}: record {i} is not an object")
+        if not all(k in entry for k in fields):
             raise ValueError(f"{args.dataset}: record {i} is missing a required field")
+        if not all(isinstance(entry[k], str) for k in fields):
+            raise ValueError(f"{args.dataset}: record {i} has a field that is not a string")
     if args.limit is not None:
         entries = entries[: args.limit]
     endpoint = EndpointConfig(
@@ -258,7 +271,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="split file (alpaca json)")
     p.add_argument("--endpoint", required=True, help="completion endpoint URL")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--temperature", type=float, default=0.01)
+    p.add_argument("--temperature", type=_temperature, default=0.01)
     p.add_argument("--token-budget", type=_one_or_more, default=3096)
     p.add_argument("--timeout", type=_seconds, default=120.0)
     p.add_argument("--retries", type=_count, default=0)

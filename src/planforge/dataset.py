@@ -23,6 +23,7 @@ from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
 
 ALPACA_KEYS = ("instruction", "input", "output")
+SPLIT_NAMES = ("train", "val", "test")
 
 
 class DatasetError(ValueError):
@@ -110,12 +111,16 @@ def _revalidate(record: DatasetRecord) -> None:
 def per_domain_quotas(quotas: dict[str, int], n_domains: int) -> dict[str, int]:
     """Each split's count per domain.
 
-    Quotas apply to the combined dataset and must be positive and divide
-    evenly across the domains, so each domain contributes the same count to
-    each split.  Raises DatasetError otherwise.
+    Splits are named ``train``, ``val`` or ``test``; each names the split's
+    file, beside ``spillover.json`` and ``manifest.json``.  Quotas apply to
+    the combined dataset and must be positive and divide evenly across the
+    domains, so each domain contributes the same count to each split.
+    Raises DatasetError otherwise.
     """
     need: dict[str, int] = {}
     for name, quota in quotas.items():
+        if name not in SPLIT_NAMES:
+            raise DatasetError(f"split '{name}' is not one of {', '.join(SPLIT_NAMES)}")
         if quota <= 0:
             raise DatasetError(f"split '{name}' has non-positive quota {quota}")
         if quota % n_domains != 0:

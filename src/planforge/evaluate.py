@@ -15,7 +15,7 @@ import json
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import requests
@@ -52,10 +52,14 @@ class EndpointConfig:
 
 @dataclass
 class InferenceRecord:
+    """One request's result.  The fields are declared in the order of its
+    ``inferences.jsonl`` line, which is ``asdict`` of the record,
+    so ``InferenceRecord(**json.loads(line))`` reads a line back."""
+
     index: int
-    output: str
-    latency: float
     status: str  # ok | error
+    latency: float
+    output: str = ""
     detail: str = ""
 
 
@@ -88,9 +92,7 @@ def check_reachable(endpoint: EndpointConfig) -> None:
 
 
 def run_inference(
-    entries: list[dict],
-    endpoint: EndpointConfig,
-    out_path: str | Path | None = None,
+    entries: list[dict], endpoint: EndpointConfig, out_path: str | Path
 ) -> list[InferenceRecord]:
     """Query the endpoint once per dataset entry, sequentially and in order.
 
@@ -98,39 +100,21 @@ def run_inference(
     so a long run can be inspected while in flight.
     """
     check_reachable(endpoint)
-    out_file = open(out_path, "w") if out_path else None
     records: list[InferenceRecord] = []
-    try:
+    with open(out_path, "w") as out_file:
         for index, entry in enumerate(entries):
             prompt = ALPACA_PROMPT.format(
                 instruction=entry["instruction"], input=entry["input"]
             )
             max_tokens = endpoint.token_budget - _estimate_tokens(prompt)
             if max_tokens <= 0:
-                record = InferenceRecord(
-                    index, "", 0.0, "error",
-                    f"prompt alone exceeds the {endpoint.token_budget} token budget",
-                )
+                detail = f"prompt alone exceeds the {endpoint.token_budget} token budget"
+                record = InferenceRecord(index, "error", 0.0, detail=detail)
             else:
                 record = _query(endpoint, index, prompt, max_tokens)
             records.append(record)
-            if out_file:
-                out_file.write(
-                    json.dumps(
-                        {
-                            "index": record.index,
-                            "status": record.status,
-                            "latency": record.latency,
-                            "output": record.output,
-                            "detail": record.detail,
-                        }
-                    )
-                    + "\n"
-                )
-                out_file.flush()
-    finally:
-        if out_file:
-            out_file.close()
+            out_file.write(json.dumps(asdict(record)) + "\n")
+            out_file.flush()
     return records
 
 
@@ -151,10 +135,10 @@ def _query(
             )
             response.raise_for_status()
             text = extract_completion(response.json())
-            return InferenceRecord(index, text, time.perf_counter() - start, "ok")
+            return InferenceRecord(index, "ok", time.perf_counter() - start, text)
         except (requests.RequestException, ValueError, EndpointError) as err:
             last_error = str(err)
-    return InferenceRecord(index, "", time.perf_counter() - start, "error", last_error)
+    return InferenceRecord(index, "error", time.perf_counter() - start, detail=last_error)
 
 
 def salvage_plan(text: str) -> list[tuple[str, ...]]:
@@ -174,80 +158,41 @@ def salvage_plan(text: str) -> list[tuple[str, ...]]:
         return parse_plan("\n".join(lines[: err.line - 1]))
 
 
-@dataclass
-class StepStats:
-    avg: float
-    min: int
-    max: int
-    median: float
-
-
-@dataclass
-class TimeStats:
-    avg: float
-    min: float
-    max: float
-    median: float
-    std: float
-
-
-@dataclass
-class GroupMetrics:
-    label: str
-    total: int
-    valid: int
-    validity: float  # percentage, one decimal
-    steps: StepStats | None
-    times: TimeStats | None
-    failure_kinds: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class EvalMetrics:
-    mixed: GroupMetrics
-    per_domain: dict[str, GroupMetrics]
-
-
-def _step_stats(lengths: list[int]) -> StepStats | None:
-    if not lengths:
-        return None
-    return StepStats(
-        avg=sum(lengths) / len(lengths),
-        min=min(lengths),
-        max=max(lengths),
-        median=float(statistics.median(lengths)),
-    )
-
-
-def _time_stats(times: list[float]) -> TimeStats | None:
-    if not times:
-        return None
-    return TimeStats(
-        avg=statistics.fmean(times),
-        min=min(times),
-        max=max(times),
-        median=float(statistics.median(times)),
-        std=statistics.pstdev(times),
-    )
-
-
-def _group(label: str, rows: list[dict]) -> GroupMetrics:
+def _group(rows: list[dict]) -> dict:
+    """One ``metrics.json`` group: counts, validity, step statistics over the
+    valid plans and latency statistics over every request (``None`` when
+    there is nothing to summarize), and the failure kinds in name order."""
     valid_rows = [r for r in rows if r["valid"]]
+    lengths = [r["steps"] for r in valid_rows]
+    times = [r["latency"] for r in rows]
     kinds = Counter(r["failure_kind"] for r in rows if r["failure_kind"])
-    validity = round(100.0 * len(valid_rows) / len(rows), 1) if rows else 0.0
-    return GroupMetrics(
-        label=label,
-        total=len(rows),
-        valid=len(valid_rows),
-        validity=validity,
-        steps=_step_stats([r["steps"] for r in valid_rows]),
-        times=_time_stats([r["latency"] for r in rows]),
-        failure_kinds=dict(sorted(kinds.items())),
-    )
+    return {
+        "total": len(rows),
+        "valid": len(valid_rows),
+        "validity": round(100.0 * len(valid_rows) / len(rows), 1) if rows else 0.0,
+        "steps": {
+            "avg": sum(lengths) / len(lengths),
+            "min": min(lengths),
+            "max": max(lengths),
+            "median": float(statistics.median(lengths)),
+        } if lengths else None,
+        "times": {
+            "avg": statistics.fmean(times),
+            "min": min(times),
+            "max": max(times),
+            "median": float(statistics.median(times)),
+            "std": statistics.pstdev(times),
+        } if times else None,
+        "failure_kinds": dict(sorted(kinds.items())),
+    }
 
 
-def score(entries: list[dict], inferences: list[InferenceRecord]) -> EvalMetrics:
-    """Validate each returned plan against its own domain and problem."""
+def score(entries: list[dict], inferences: list[InferenceRecord]) -> dict:
+    """Validate each returned plan against its own domain and problem.
+
+    Returns the ``metrics.json`` document: ``{"mixed": group, "per_domain":
+    {name: group}}`` with the domains in name order (see ``_group``).
+    """
     if len(entries) != len(inferences):
         raise ValueError(
             f"{len(entries)} entries but {len(inferences)} inference records"
@@ -279,10 +224,11 @@ def score(entries: list[dict], inferences: list[InferenceRecord]) -> EvalMetrics
                     row["failure_kind"] = outcome.failure_kind
         rows.append(row)
 
-    per_domain: dict[str, GroupMetrics] = {}
-    for name in sorted({r["domain"] for r in rows}):
-        per_domain[name] = _group(name, [r for r in rows if r["domain"] == name])
-    return EvalMetrics(mixed=_group("mixed", rows), per_domain=per_domain)
+    per_domain = {
+        name: _group([r for r in rows if r["domain"] == name])
+        for name in sorted({r["domain"] for r in rows})
+    }
+    return {"mixed": _group(rows), "per_domain": per_domain}
 
 
 def _fmt_median(value: float) -> str:
@@ -293,25 +239,26 @@ VALIDITY_HEADER = ("Validity (%)", "Avg_steps", "Min_steps", "Max_steps", "Media
 TIME_HEADER = ("Avg_t (s)", "Min_t (s)", "Max_t (s)", "Median_t (s)", "Std_t (s)")
 
 
-def _validity_row(g: GroupMetrics) -> tuple[str, ...]:
-    if g.steps is None:
-        return (f"{g.validity}", "-", "-", "-", "-")
+def _validity_row(g: dict) -> tuple[str, ...]:
+    steps = g["steps"]
+    if steps is None:
+        return (f"{g['validity']}", "-", "-", "-", "-")
     return (
-        f"{g.validity}",
-        f"{g.steps.avg:.2f}",
-        str(g.steps.min),
-        str(g.steps.max),
-        _fmt_median(g.steps.median),
+        f"{g['validity']}",
+        f"{steps['avg']:.2f}",
+        str(steps["min"]),
+        str(steps["max"]),
+        _fmt_median(steps["median"]),
     )
 
 
-def _time_row(g: GroupMetrics) -> tuple[str, ...]:
-    if g.times is None:
+def _time_row(g: dict) -> tuple[str, ...]:
+    t = g["times"]
+    if t is None:
         return ("-",) * 5
-    t = g.times
     return (
-        f"{t.avg:.3f}", f"{t.min:.3f}", f"{t.max:.3f}",
-        f"{t.median:.3f}", f"{t.std:.3f}",
+        f"{t['avg']:.3f}", f"{t['min']:.3f}", f"{t['max']:.3f}",
+        f"{t['median']:.3f}", f"{t['std']:.3f}",
     )
 
 
@@ -325,25 +272,28 @@ def _render_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines)
 
 
-def render_report(metrics: EvalMetrics) -> str:
-    groups = [metrics.mixed]
-    if len(metrics.per_domain) > 1:
-        groups.extend(metrics.per_domain[name] for name in sorted(metrics.per_domain))
+def render_report(metrics: dict) -> str:
+    """The ``metrics.txt`` text of a ``score`` document: the mixed row, then
+    one row per domain when there are several, each labelled by its key."""
+    mixed = metrics["mixed"]
+    groups = [("mixed", mixed)]
+    if len(metrics["per_domain"]) > 1:
+        groups.extend(sorted(metrics["per_domain"].items()))
     out = []
-    out.append(f"requests: {metrics.mixed.total}")
-    out.append(f"valid plans: {metrics.mixed.valid}")
+    out.append(f"requests: {mixed['total']}")
+    out.append(f"valid plans: {mixed['valid']}")
     out.append("")
     out.append(
         _render_table(
-            VALIDITY_HEADER, [(g.label,) + _validity_row(g) for g in groups]
+            VALIDITY_HEADER, [(label,) + _validity_row(g) for label, g in groups]
         )
     )
     out.append("")
     out.append(
-        _render_table(TIME_HEADER, [(g.label,) + _time_row(g) for g in groups])
+        _render_table(TIME_HEADER, [(label,) + _time_row(g) for label, g in groups])
     )
     out.append("")
-    kinds = metrics.mixed.failure_kinds
+    kinds = mixed["failure_kinds"]
     if kinds:
         out.append(
             "failure kinds: " + " ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
@@ -353,23 +303,8 @@ def render_report(metrics: EvalMetrics) -> str:
     return "\n".join(out) + "\n"
 
 
-def _group_dict(g: GroupMetrics) -> dict:
-    return {
-        "total": g.total,
-        "valid": g.valid,
-        "validity": g.validity,
-        "steps": vars(g.steps) if g.steps else None,
-        "times": vars(g.times) if g.times else None,
-        "failure_kinds": g.failure_kinds,
-    }
-
-
-def export_report(
-    metrics: EvalMetrics, json_path: str | Path, txt_path: str | Path
-) -> None:
-    payload = {
-        "mixed": _group_dict(metrics.mixed),
-        "per_domain": {k: _group_dict(v) for k, v in metrics.per_domain.items()},
-    }
-    atomic_write(Path(json_path), json.dumps(payload, indent=2) + "\n")
+def export_report(metrics: dict, json_path: str | Path, txt_path: str | Path) -> None:
+    """Write a ``score`` document as ``json_path`` and its report as
+    ``txt_path``, each whole or not at all."""
+    atomic_write(Path(json_path), json.dumps(metrics, indent=2) + "\n")
     atomic_write(Path(txt_path), render_report(metrics))

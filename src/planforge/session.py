@@ -319,12 +319,16 @@ def load_pipeline_config(path: str | Path) -> dict:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise StageError(f"cannot read pipeline config {path}: {err}") from err
+    if not isinstance(data, dict):
+        raise StageError(f"{path}: pipeline config must be a JSON object")
     if "seed" not in data:
         raise StageError(f"{path}: pipeline config must set 'seed'")
     domains = data.get("domains")
     if not isinstance(domains, list) or not domains:
         raise StageError(f"{path}: pipeline config needs a non-empty 'domains' array")
     for i, entry in enumerate(domains):
+        if not isinstance(entry, dict):
+            raise StageError(f"{path}: domains[{i}] must be an object")
         for key in ("domain", "dpgc", "count"):
             if key not in entry:
                 raise StageError(f"{path}: domains[{i}] is missing '{key}'")

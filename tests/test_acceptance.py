@@ -33,13 +33,8 @@ from planforge.dpgc import load_config, parse_config
 from planforge.drivers import reference_plan, solve
 from planforge.evaluate import InferenceRecord, render_report, score
 from planforge.generate import fingerprint_problem, generate_batch, sample_problem
-from planforge.pddl import (
-    PreconditionError,
-    apply_action,
-    ground_action_for,
-    parse_domain,
-    parse_problem,
-)
+from planforge.pddl.ground import PreconditionError, apply_action, ground_action_for
+from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import render_plan, validate
 from planforge.session import Session, load_pipeline_config, run_pipeline
 
@@ -433,19 +428,21 @@ def test_criterion_08_metrics_match_hand_computation(
         for o in outputs
     ]
     inferences = [
-        InferenceRecord(i, output, latency, "ok")
+        InferenceRecord(i, "ok", latency, output)
         for i, (output, latency) in enumerate(zip(outputs, latencies))
     ]
     metrics = score(entries, inferences)
-    mixed = metrics.mixed
+    mixed = metrics["mixed"]
 
     # by hand: 3 of 4 valid; step lengths 4, 4, 8; times 1..4
-    assert mixed.validity == round(100 * 3 / 4, 1) == 75.0
-    assert mixed.steps.avg == (4 + 4 + 8) / 3
-    assert (mixed.steps.min, mixed.steps.max, mixed.steps.median) == (4, 8, 4.0)
-    assert mixed.times.avg == (1 + 2 + 3 + 4) / 4
-    assert (mixed.times.min, mixed.times.max, mixed.times.median) == (1, 4, 2.5)
-    assert round(mixed.times.std, 3) == round(sim_pstdev(latencies), 3) == 1.118
+    assert mixed["validity"] == round(100 * 3 / 4, 1) == 75.0
+    assert mixed["steps"]["avg"] == (4 + 4 + 8) / 3
+    assert (mixed["steps"]["min"], mixed["steps"]["max"],
+            mixed["steps"]["median"]) == (4, 8, 4.0)
+    assert mixed["times"]["avg"] == (1 + 2 + 3 + 4) / 4
+    assert (mixed["times"]["min"], mixed["times"]["max"],
+            mixed["times"]["median"]) == (1, 4, 2.5)
+    assert round(mixed["times"]["std"], 3) == round(sim_pstdev(latencies), 3) == 1.118
 
     report = render_report(metrics)
     headers = [l for l in report.splitlines() if l.startswith("Set")]

@@ -17,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MICRO_PLAN
 from planforge import assets_dir
 from planforge import session as session_module
 from planforge.drivers import load_adapters, solve
+from planforge.evaluate import EndpointConfig, run_inference
 from planforge.session import Session, stage_generate, stage_plan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -60,7 +62,7 @@ def test_solve_key_names_the_problem(hook, tmp_path):
     assert hook.KEYS["solve"](call.args) == "artic3_000001"
 
 
-def test_info_reads_real_results(hook, tmp_path, monkeypatch):
+def test_info_reads_real_results(hook, tmp_path, monkeypatch, stub_endpoint):
     generated = []
     generate_batch = session_module.generate_batch
 
@@ -77,6 +79,16 @@ def test_info_reads_real_results(hook, tmp_path, monkeypatch):
     assert (info["new"], info["replayed"]) == (2, 0)
     assert info["draws"] >= 2
     assert hook.INFO["stage_plan"](planned) == {"attempted": 2, "solved": 2}
+
+    server = stub_endpoint(lambda payload: {"text": MICRO_PLAN})
+    entry = {"instruction": (assets_dir() / "artic3.pddl").read_text(),
+             "input": (assets_dir() / "artic3_micro.pddl").read_text(),
+             "output": MICRO_PLAN}
+    records = run_inference([entry, entry], EndpointConfig(url=server.url),
+                            tmp_path / "inferences.jsonl")
+    latencies = hook.INFO["run_inference"](records)["latencies"]
+    assert latencies == [r.latency for r in records]
+    assert len(latencies) == 2 and all(t > 0 for t in latencies)
 
 
 def test_worker_solves_are_traced(tmp_path):

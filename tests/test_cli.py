@@ -355,6 +355,12 @@ EVAL_ARGV = ["eval", "--dataset", "{tmp}/val.json", "--endpoint", "http://localh
                  id="eval--token-budget"),
     pytest.param(EVAL_ARGV, "--token-budget", "0", "must be one or more",
                  id="eval--token-budget-zero"),
+    pytest.param(EVAL_ARGV, "--temperature", "nan", "must be finite and zero or more",
+                 id="eval--temperature-nan"),
+    pytest.param(EVAL_ARGV, "--temperature", "inf", "must be finite and zero or more",
+                 id="eval--temperature-inf"),
+    pytest.param(EVAL_ARGV, "--temperature", "-1", "must be finite and zero or more",
+                 id="eval--temperature-negative"),
     pytest.param(["gen-problems", "--config", "c.json", "--domain", "d.pddl",
                   "--seed", "7", "--session", "{tmp}/r"],
                  "--count", "-3", "must be zero or more", id="gen-problems--count"),
@@ -380,7 +386,7 @@ def test_eval_rejects_negative_counts(tmp_path, capsys, argv, flag, value, messa
     assert not (tmp_path / "r").exists()
 
 
-def test_eval_rejects_malformed_datasets(tmp_path, capsys):
+def test_eval_rejects_malformed_datasets(tmp_path, capsys, stub_endpoint):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     code = main([
@@ -398,6 +404,27 @@ def test_eval_rejects_malformed_datasets(tmp_path, capsys):
     ])
     assert code == 2
     assert "record 0 is missing a required field" in capsys.readouterr().err
+
+    # checked before any request: the stub would answer every record
+    posted = []
+    server = stub_endpoint(lambda payload: posted.append(payload) or {"text": ""})
+    good = {"instruction": "x", "input": "y", "output": "z"}
+    for records, message in (
+        ([good, 5], "record 1 is not an object"),
+        ([good, ["x", "y", "z"]], "record 1 is not an object"),
+        ([good, dict(good, instruction=5)], "record 1 has a field that is not a string"),
+        ([dict(good, output=None)], "record 0 has a field that is not a string"),
+    ):
+        dataset = tmp_path / "typed.json"
+        dataset.write_text(json.dumps(records))
+        code = main([
+            "eval", "--dataset", str(dataset), "--endpoint", server.url,
+            "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+    assert posted == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_pipeline_runs_end_to_end(tmp_path, capsys):

@@ -18,7 +18,7 @@ from planforge.dataset import (
 from planforge.dpgc import load_config
 from planforge.drivers import reference_plan
 from planforge.generate import generate_batch
-from planforge.pddl import parse_domain, parse_problem
+from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import render_plan
 
 
@@ -180,6 +180,13 @@ def test_assemble_rejections(tmp_path, corpus):
     hollow = records[:4] + [dataclasses.replace(records[5], output="  \n")]
     with pytest.raises(DatasetError, match="empty 'output' field"):
         assemble(hollow, {"train": 2}, 0, tmp_path)
+    # a split names its file: only train, val and test, refused before any write
+    out_dir = tmp_path / "deep" / "er" / "named"
+    for name in ("manifest", "spillover", "../../escaped"):
+        with pytest.raises(DatasetError, match="is not one of train, val, test"):
+            assemble(records, {"train": 2, name: 2}, 0, out_dir)
+    assert list(out_dir.iterdir()) == []
+    assert not (tmp_path / "deep" / "escaped.json").exists()
 
 
 def test_assemble_revalidation_gate(tmp_path, corpus):

@@ -14,7 +14,7 @@ from planforge.dpgc import (
     parse_ground_atom,
     validate_against_domain,
 )
-from planforge.pddl import parse_domain
+from planforge.pddl.parser import parse_domain
 
 BASE = {
     "domain": "artic3",

@@ -31,7 +31,8 @@ from planforge.drivers import (
 )
 from planforge.dpgc import parse_config
 from planforge.generate import generate_batch
-from planforge.pddl import parse_domain, parse_problem, static_predicates
+from planforge.pddl.ground import static_predicates
+from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.session import Session, stage_generate, stage_plan
 
 

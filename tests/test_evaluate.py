@@ -10,7 +10,6 @@ from planforge.evaluate import (
     ALPACA_PROMPT,
     EndpointConfig,
     EndpointError,
-    EvalMetrics,
     InferenceRecord,
     check_reachable,
     export_report,
@@ -97,21 +96,22 @@ def test_run_inference_round_trip(tmp_path, stub_endpoint, artic3_domain_text,
     assert first["output"] == MICRO_PLAN
 
 
-def test_run_inference_flags_oversized_prompts(stub_endpoint, artic3_domain_text,
-                                               micro_text):
+def test_run_inference_flags_oversized_prompts(tmp_path, stub_endpoint,
+                                               artic3_domain_text, micro_text):
     server = stub_endpoint(lambda payload: {"text": ""})
     entry = micro_entry(artic3_domain_text, micro_text)
     config = EndpointConfig(url=server.url, token_budget=100)
-    (record,) = run_inference([entry], config)
+    (record,) = run_inference([entry], config, tmp_path / "inferences.jsonl")
     assert record.status == "error"
     assert "exceeds the 100 token budget" in record.detail
 
 
-def test_run_inference_records_server_errors(stub_endpoint, artic3_domain_text,
-                                             micro_text):
+def test_run_inference_records_server_errors(tmp_path, stub_endpoint,
+                                             artic3_domain_text, micro_text):
     server = stub_endpoint(lambda payload: 503)
     entry = micro_entry(artic3_domain_text, micro_text)
-    (record,) = run_inference([entry], EndpointConfig(url=server.url))
+    (record,) = run_inference([entry], EndpointConfig(url=server.url),
+                              tmp_path / "inferences.jsonl")
     assert record.status == "error"
     assert "503" in record.detail
 
@@ -158,9 +158,9 @@ def build_metrics(artic3_domain_text, micro_text, outputs, latencies=None):
     for i, output in enumerate(outputs):
         latency = latencies[i] if latencies else 0.1
         if output is None:
-            records.append(InferenceRecord(i, "", latency, "error", "boom"))
+            records.append(InferenceRecord(i, "error", latency, "", "boom"))
         else:
-            records.append(InferenceRecord(i, output, latency, "ok"))
+            records.append(InferenceRecord(i, "ok", latency, output))
     return score(entries, records)
 
 
@@ -176,11 +176,11 @@ def test_score_classifies_failures(artic3_domain_text, micro_text):
         "(grasp gripper1 gripper2)\n",               # goal_unreached
     ]
     metrics = build_metrics(artic3_domain_text, micro_text, outputs)
-    mixed = metrics.mixed
-    assert mixed.total == 8
-    assert mixed.valid == 1
-    assert mixed.validity == 12.5
-    assert mixed.failure_kinds == {
+    mixed = metrics["mixed"]
+    assert mixed["total"] == 8
+    assert mixed["valid"] == 1
+    assert mixed["validity"] == 12.5
+    assert mixed["failure_kinds"] == {
         "endpoint_error": 1,
         "parse_error": 1,
         "unknown_action": 1,
@@ -189,12 +189,12 @@ def test_score_classifies_failures(artic3_domain_text, micro_text):
         "precondition_failed": 1,
         "goal_unreached": 1,
     }
-    assert list(metrics.per_domain) == ["artic3"]
+    assert list(metrics["per_domain"]) == ["artic3"]
     # the percentage is rounded to one decimal
     for outputs, validity in (([MICRO_PLAN, None, None], 33.3),
                               ([MICRO_PLAN, MICRO_PLAN, None], 66.7)):
         metrics = build_metrics(artic3_domain_text, micro_text, outputs)
-        assert metrics.mixed.validity == validity
+        assert metrics["mixed"]["validity"] == validity
 
 
 def test_score_stats_match_hand_computation(artic3_domain_text, micro_text):
@@ -212,28 +212,28 @@ def test_score_stats_match_hand_computation(artic3_domain_text, micro_text):
     outputs = [MICRO_PLAN, MICRO_PLAN, detour, "(grasp gripper1 gripper2)\n"]
     latencies = [1.0, 2.0, 3.0, 4.0]
     metrics = build_metrics(artic3_domain_text, micro_text, outputs, latencies)
-    mixed = metrics.mixed
+    mixed = metrics["mixed"]
 
-    assert mixed.validity == 75.0
+    assert mixed["validity"] == 75.0
     lengths = [4, 4, 8]
-    assert mixed.steps.avg == pytest.approx(sim_mean(lengths))
-    assert mixed.steps.min == 4
-    assert mixed.steps.max == 8
-    assert mixed.steps.median == pytest.approx(sim_median(lengths))
+    assert mixed["steps"]["avg"] == pytest.approx(sim_mean(lengths))
+    assert mixed["steps"]["min"] == 4
+    assert mixed["steps"]["max"] == 8
+    assert mixed["steps"]["median"] == pytest.approx(sim_median(lengths))
 
     # time stats cover every request, not just the valid ones
-    assert mixed.times.avg == pytest.approx(sim_mean(latencies))
-    assert mixed.times.median == pytest.approx(sim_median(latencies))
-    assert mixed.times.median == pytest.approx(2.5)
-    assert mixed.times.std == pytest.approx(sim_pstdev(latencies))
-    assert round(mixed.times.std, 3) == 1.118
+    assert mixed["times"]["avg"] == pytest.approx(sim_mean(latencies))
+    assert mixed["times"]["median"] == pytest.approx(sim_median(latencies))
+    assert mixed["times"]["median"] == pytest.approx(2.5)
+    assert mixed["times"]["std"] == pytest.approx(sim_pstdev(latencies))
+    assert round(mixed["times"]["std"], 3) == 1.118
 
 
 def test_score_requires_aligned_inputs(artic3_domain_text, micro_text):
     entries = [micro_entry(artic3_domain_text, micro_text)]
     with pytest.raises(ValueError, match="1 entries but 2"):
-        score(entries, [InferenceRecord(0, "", 0.0, "ok"),
-                        InferenceRecord(1, "", 0.0, "ok")])
+        score(entries, [InferenceRecord(0, "ok", 0.0, ""),
+                        InferenceRecord(1, "ok", 0.0, "")])
 
 
 def test_report_layout_single_domain(artic3_domain_text, micro_text):
@@ -269,7 +269,7 @@ def test_report_layout_two_domains(artic3_domain_text, micro_text, artic3m,
     from planforge import assets_dir
     from planforge.drivers import reference_plan
     from planforge.generate import sample_problem
-    from planforge.pddl import serialize_problem
+    from planforge.pddl.writer import serialize_problem
     from planforge.plans import render_plan
 
     artic3m_text = (assets_dir() / "artic3m.pddl").read_text()
@@ -287,8 +287,8 @@ def test_report_layout_two_domains(artic3_domain_text, micro_text, artic3m,
          "output": render_plan(plan)},
     ]
     records = [
-        InferenceRecord(0, MICRO_PLAN, 0.5, "ok"),
-        InferenceRecord(1, render_plan(plan), 0.7, "ok"),
+        InferenceRecord(0, "ok", 0.5, MICRO_PLAN),
+        InferenceRecord(1, "ok", 0.7, render_plan(plan)),
     ]
     report = render_report(score(entries, records))
     lines = report.splitlines()

@@ -15,7 +15,7 @@ from planforge.generate import (
     problem_file_name,
     sample_problem,
 )
-from planforge.pddl import parse_domain, parse_problem
+from planforge.pddl.parser import parse_domain, parse_problem
 
 CHAIN = """
 (define (domain chain)

@@ -13,19 +13,18 @@ from oracle import (
     sim_shortest_plan,
     sim_static_filter,
 )
-from planforge.pddl import (
+from planforge.pddl.ground import (
     GroundingError,
-    Literal,
     PreconditionError,
     apply_action,
     apply_effects,
     goal_satisfied,
     ground_action_for,
     iter_applicable_candidates,
-    parse_domain,
-    parse_problem,
     static_predicates,
 )
+from planforge.pddl.model import Literal
+from planforge.pddl.parser import parse_domain, parse_problem
 
 # Micro fixture: 3 links, 4 angles, 2 grippers.
 # grasp/release take 2 gripper params: 2^2 = 4 each.

@@ -4,8 +4,9 @@ import dataclasses
 import random
 
 from planforge.generate import sample_problem
-from planforge.pddl import parse_domain, parse_problem, serialize_problem
 from planforge.pddl.model import Problem
+from planforge.pddl.parser import parse_domain, parse_problem
+from planforge.pddl.writer import serialize_problem
 
 SMALL_DOMAIN = """\
 (define (domain pantry)

@@ -13,7 +13,7 @@ from planforge.dpgc import load_config
 from planforge.drivers import load_adapters
 from planforge.evaluate import InferenceRecord, export_report, score
 from planforge.generate import generate_batch
-from planforge.pddl import parse_domain
+from planforge.pddl.parser import parse_domain
 from planforge.session import (
     Session,
     StageError,
@@ -103,7 +103,7 @@ def _export_report(out_dir):
     entry = {"instruction": ARTIC3_DOMAIN.read_text(),
              "input": (assets_dir() / "artic3_micro.pddl").read_text(),
              "output": MICRO_PLAN}
-    metrics = score([entry], [InferenceRecord(0, MICRO_PLAN, 0.1, "ok")])
+    metrics = score([entry], [InferenceRecord(0, "ok", 0.1, MICRO_PLAN)])
     export_report(metrics, out_dir / "metrics.json", out_dir / "metrics.txt")
 
 
@@ -301,9 +301,14 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
         ({"quotas": {"train": 2.5}}, "quota 'train' must be a whole number"),
         ({"quotas": {"train": True}}, "quota 'train' must be a whole number"),
         ({"timeout": -5}, "'timeout' must be a finite number of seconds above zero"),
+        ({"domains": [1]}, r"domains\[0\] must be an object"),
+        (5, "pipeline config must be a JSON object"),
     ):
         data = json.loads(write_pipeline_config(tmp_path).read_text())
-        data.update(broken)
+        if isinstance(broken, dict):
+            data.update(broken)
+        else:
+            data = broken
         if broken == {"seed": None}:
             del data["seed"]
         bad = tmp_path / "bad.json"
@@ -362,3 +367,12 @@ def test_run_pipeline_rejects_indivisible_quota(tmp_path):
     with pytest.raises(StageError, match="does not divide evenly"):
         run_pipeline(config, tmp_path / "run")
     assert not (tmp_path / "run").exists()  # refused before any work
+
+
+def test_run_pipeline_rejects_unknown_split_names(tmp_path):
+    for name in ("manifest", "spillover", "../../escaped"):
+        path = write_pipeline_config(tmp_path, quotas={"train": 8, name: 2})
+        config = load_pipeline_config(path)
+        with pytest.raises(StageError, match=f"split '{name}' is not one of"):
+            run_pipeline(config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()  # refused before any work
