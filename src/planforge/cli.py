@@ -79,13 +79,13 @@ def cmd_gen_problems(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from planforge.drivers import PlannerPool
     from planforge.session import Session, load_adapter, stage_plan
 
     session = Session(args.session)
     adapter = load_adapter(args.adapter, args.adapters)
-    result = stage_plan(
-        session, adapter, timeout=args.timeout, workers=args.workers
-    )
+    with PlannerPool(args.workers) as pool:
+        result = stage_plan(session, adapter, timeout=args.timeout, pool=pool)
     tally = " ".join(f"{k}={v}" for k, v in sorted(result["tally"].items()))
     print(
         f"planned {result['planned']}/{result['problems']} "
@@ -151,6 +151,7 @@ def cmd_eval(args) -> int:
     from planforge.evaluate import (
         EndpointConfig,
         export_report,
+        parse_entries,
         render_report,
         run_inference,
         score,
@@ -169,6 +170,11 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{args.dataset}: record {i} has a field that is not a string")
     if args.limit is not None:
         entries = entries[: args.limit]
+    # Parsed before any request is sent, and once: score reuses the pairs.
+    try:
+        tasks = parse_entries(entries)
+    except ValueError as err:
+        raise ValueError(f"{args.dataset}: {err}") from err
     endpoint = EndpointConfig(
         url=args.endpoint,
         temperature=args.temperature,
@@ -179,7 +185,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inferences = run_inference(entries, endpoint, out_dir / "inferences.jsonl")
-    metrics = score(entries, inferences)
+    metrics = score(tasks, inferences)
     export_report(metrics, out_dir / "metrics.json", out_dir / "metrics.txt")
     print(render_report(metrics), end="")
     return EXIT_OK

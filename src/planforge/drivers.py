@@ -10,7 +10,8 @@ exit, spawn failure or output the dialect cannot normalize maps to
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
-runs every solve on a spawned worker, replaced alone if it hangs or dies.
+runs every solve on a ``PlannerPool``: spawned workers that a command starts
+once and keeps for all its batches, each replaced alone if it hangs or dies.
 """
 
 from __future__ import annotations
@@ -445,27 +446,25 @@ def plan_batch(
     plans_dir: str | Path,
     *,
     timeout: float | None = None,
-    workers: int = 1,
+    pool: PlannerPool | None = None,
     log_path: str | Path | None = None,
 ) -> list[SolveResult]:
     """Solve a set of problems and keep only plans that validate exactly;
     returns one result per problem, in order.
 
-    Up to ``workers`` problems are solved at a time on spawned worker
-    processes, whatever the adapter (see ``_solve_on_pool``), so a script
-    calling this needs the usual ``if __name__ == "__main__":`` guard.  Each
-    result is kept in the calling process as it arrives: a plan that
-    validates against ``domain_path`` is written whole to
-    ``<problem>.plan`` and becomes the result's ``plan_text``; one that does
-    not is ``invalid``, with the validator's message as detail.  The log
-    gets one line per problem as it is kept: id, status, wall time, plan
-    length (``-`` when there is none).
+    Every problem is solved on ``pool``'s workers, whatever the adapter (see
+    ``PlannerPool``); without a pool, the batch opens a one-worker pool of
+    its own and closes it before returning.  Each result is kept in the
+    calling process as it arrives: a plan that validates against
+    ``domain_path`` is written whole to ``<problem>.plan`` and becomes the
+    result's ``plan_text``; one that does not is ``invalid``, with the
+    validator's message as detail.  The log gets one line per problem as it
+    is kept: id, status, wall time, plan length (``-`` when there is none).
     """
     plans_dir = Path(plans_dir)
     plans_dir.mkdir(parents=True, exist_ok=True)
     domain = parse_domain(Path(domain_path).read_text())
     timeout = timeout if timeout is not None else adapter.timeout
-    workers = max(1, min(workers, len(problem_paths)))
 
     def keep(problem_path: Path, result: SolveResult) -> SolveResult:
         if result.status != "solved":
@@ -481,11 +480,17 @@ def plan_batch(
         return dataclasses.replace(result, plan_text=plan_text)
 
     results: list[SolveResult | None] = [None] * len(problem_paths)
-    with open(log_path if log_path is not None else os.devnull, "a") as log:
+    with (
+        PlannerPool() if pool is None else contextlib.nullcontext(pool) as pool,
+        open(log_path if log_path is not None else os.devnull, "a") as log,
+        # Closed on the way out, so that a batch that stops early stops the
+        # workers still busy with it.
+        contextlib.closing(
+            pool.solve_batch(adapter, domain_path, problem_paths, timeout)
+        ) as arrivals,
+    ):
         log.write(f"# plan adapter={adapter.name} problems={len(problem_paths)}\n")
-        for index, result in _solve_on_pool(
-            adapter, domain_path, problem_paths, timeout, workers
-        ):
+        for index, result in arrivals:
             result = results[index] = keep(problem_paths[index], result)
             length = "-" if result.plan_text is None else result.plan_text.count("\n")
             log.write(
@@ -499,95 +504,129 @@ def plan_batch(
     return results
 
 
-def _solve_on_pool(
-    adapter: PlannerAdapter,
-    domain_path: str | Path,
-    problem_paths: list[Path],
-    timeout: float,
-    workers: int,
-) -> Iterator[tuple[int, SolveResult]]:
-    """``solve`` every problem on up to ``workers`` spawned processes,
-    yielding (problem index, result) as each result arrives.
+class PlannerPool:
+    """Up to ``workers`` spawned processes that ``solve`` problems, from the
+    first batch that needs them until the pool is closed.
 
-    A worker holds one problem at a time, whose clock starts when it is
-    sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed and
-    its problem is ``timeout``; one that dies leaves its problem
-    ``crashed``.  Either way, the external planner's process group that the
-    worker reported is killed with it.  Only that worker is replaced; other
-    problems run on.
-    Workers are joined before this returns, so their CPU time is this
-    process's children's; idle ones are told to exit first, so that their
-    exit handlers run.
+    A command opens one pool and solves all its batches on it, whatever
+    their adapter, domain and timeout, so its workers start once and keep
+    ``reference_plan``'s grounding memo from batch to batch.  The pool
+    replaces a worker that hangs or dies, with the external planner it
+    reported, and nothing else (see ``solve_batch``).  ``close``, or leaving
+    a ``with`` block, joins every worker, and multiprocessing's resource
+    tracker once no other pool has workers.  Workers are spawned, so a script using a pool needs the usual
+    ``if __name__ == "__main__":`` guard.  A pool solves one batch at a time.
     """
-    context = multiprocessing.get_context("spawn")
-    limit = timeout + _KILL_GRACE_S
-    todo = deque(range(len(problem_paths)))
-    idle: list = []  # (process, connection) of workers waiting for a problem
-    busy: dict = {}  # connection -> (process, problem index, sent at, planner group)
-    try:
-        while todo or busy:
-            while todo and len(busy) < workers:
-                if idle:
-                    process, conn = idle.pop()
-                else:
-                    conn, child_end = context.Pipe()
-                    args = (child_end, adapter, domain_path, timeout)
-                    process = context.Process(target=_work, args=args, daemon=True)
-                    process.start()
-                    child_end.close()  # so that the worker's death reads as EOF
-                if not process.is_alive():  # it died idle; start another
-                    _stop(process, conn)
-                    continue
-                conn.send(problem_paths[todo[0]])
-                busy[conn] = (process, todo.popleft(), time.monotonic(), None)
-            oldest = min(sent for _, _, sent, _ in busy.values())
-            ready = wait(list(busy), max(0.0, oldest + limit - time.monotonic()))
-            for conn in ready:
-                process, index, sent, group = busy.pop(conn)
-                try:
-                    result = conn.recv()
-                except EOFError:
-                    _stop(process, conn, group)
-                    result = SolveResult(
-                        "crashed", None, time.monotonic() - sent,
-                        f"worker died with exit code {process.exitcode}",
-                    )
-                else:
-                    if isinstance(result, int):  # its planner's group, as it starts
-                        busy[conn] = (process, index, sent, result)
+
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = workers
+        self._context = multiprocessing.get_context("spawn")
+        self._idle: list = []  # (process, connection) of workers waiting for a problem
+
+    def __enter__(self) -> PlannerPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def solve_batch(
+        self,
+        adapter: PlannerAdapter,
+        domain_path: str | Path,
+        problem_paths: list[Path],
+        timeout: float,
+    ) -> Iterator[tuple[int, SolveResult]]:
+        """``solve`` every problem on up to ``workers`` workers, yielding
+        (problem index, result) as each result arrives.
+
+        A worker holds one problem at a time, whose clock starts when it is
+        sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed
+        and its problem is ``timeout``; one that dies leaves its problem
+        ``crashed``.  Either way, the external planner's process group that
+        the worker reported is killed with it.  Only that worker is
+        replaced; other problems run on.  Workers that answered stay in the
+        pool for the next batch; any still busy when the caller closes the
+        generator early are stopped.
+        """
+        limit = timeout + _KILL_GRACE_S
+        todo = deque(range(len(problem_paths)))
+        busy: dict = {}  # connection -> (process, problem index, sent at, planner group)
+        try:
+            while todo or busy:
+                while todo and len(busy) < self.workers:
+                    process, conn = self._idle.pop() if self._idle else self._start()
+                    try:
+                        conn.send((adapter, domain_path, problem_paths[todo[0]], timeout))
+                    except ConnectionError:  # it died idle; start another
+                        _stop(process, conn)
                         continue
-                    idle.append((process, conn))
-                yield index, result
-            now = time.monotonic()
-            for conn in [c for c, (_, _, sent, _) in busy.items() if now - sent >= limit]:
-                process, index, sent, group = busy.pop(conn)
+                    busy[conn] = (process, todo.popleft(), time.monotonic(), None)
+                oldest = min(sent for _, _, sent, _ in busy.values())
+                ready = wait(list(busy), max(0.0, oldest + limit - time.monotonic()))
+                for conn in ready:
+                    process, index, sent, group = busy.pop(conn)
+                    try:
+                        result = conn.recv()
+                    except (EOFError, ConnectionError):  # it died
+                        _stop(process, conn, group)
+                        result = SolveResult(
+                            "crashed", None, time.monotonic() - sent,
+                            f"worker died with exit code {process.exitcode}",
+                        )
+                    else:
+                        if isinstance(result, int):  # its planner's group, as it starts
+                            busy[conn] = (process, index, sent, result)
+                            continue
+                        self._idle.append((process, conn))
+                    yield index, result
+                now = time.monotonic()
+                for conn in [c for c, (_, _, sent, _) in busy.items() if now - sent >= limit]:
+                    process, index, sent, group = busy.pop(conn)
+                    _stop(process, conn, group)
+                    yield index, SolveResult(
+                        "timeout", None, now - sent, f"worker killed after {limit}s"
+                    )
+        finally:
+            for conn, (process, _, _, group) in busy.items():
                 _stop(process, conn, group)
-                yield index, SolveResult(
-                    "timeout", None, now - sent, f"worker killed after {limit}s"
-                )
-    finally:
+
+    def _start(self) -> tuple[multiprocessing.Process, object]:
+        conn, child_end = self._context.Pipe()
+        process = self._context.Process(target=_work, args=(child_end,), daemon=True)
+        process.start()
+        child_end.close()  # so that the worker's death reads as EOF
+        return process, conn
+
+    def close(self) -> None:
+        """Tell the idle workers to exit and join them, so that their exit
+        handlers run and their CPU time is this process's children's; then
+        stop the resource tracker, unless another pool still has workers."""
+        idle, self._idle = self._idle, []
         for process, conn in idle:
-            with contextlib.suppress(BrokenPipeError):  # unless it died idle
+            with contextlib.suppress(ConnectionError):  # unless it died idle
                 conn.send(None)
         for process, conn in idle:
             process.join()
             conn.close()
-        for conn, (process, _, _, group) in busy.items():
-            _stop(process, conn, group)
         # Starting a spawned process also started multiprocessing's resource
-        # tracker, a helper that would outlive this call; stop and reap it
-        # like the workers.  No public way to do so exists.
-        resource_tracker._resource_tracker._stop()
+        # tracker, a helper that would outlive the pool; stop and reap it
+        # like the workers.  It exits only once every spawned process has, so
+        # while another pool's workers live, the last pool closed stops it.
+        # No public way to do so exists.
+        if not multiprocessing.active_children():
+            resource_tracker._resource_tracker._stop()
 
 
-def _work(conn, adapter: PlannerAdapter, domain_path: str | Path, timeout: float) -> None:
-    """Answer each problem path received on ``conn`` with ``solve``'s
-    result until ``None`` arrives, sending an external planner's process
-    group id first, as the planner starts.  ``solve`` is looked up on the
-    module, so that a wrapper set there sees every solve."""
+def _work(conn) -> None:
+    """Answer each (adapter, domain path, problem path, timeout) received on
+    ``conn`` with ``solve``'s result until ``None`` arrives, sending an
+    external planner's process group id first, as the planner starts.
+    ``solve`` is looked up on the module, so that a wrapper set there sees
+    every solve."""
     global _report_planner_group
     _report_planner_group = conn.send
-    while (problem_path := conn.recv()) is not None:
+    while (task := conn.recv()) is not None:
+        adapter, domain_path, problem_path, timeout = task
         conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
 
 

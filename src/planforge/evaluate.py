@@ -21,6 +21,7 @@ from pathlib import Path
 import requests
 
 from planforge import atomic_write
+from planforge.pddl.model import Domain, Problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanParseError, parse_plan, validate
 
@@ -187,20 +188,35 @@ def _group(rows: list[dict]) -> dict:
     }
 
 
-def score(entries: list[dict], inferences: list[InferenceRecord]) -> dict:
-    """Validate each returned plan against its own domain and problem.
+def parse_entries(entries: list[dict]) -> list[tuple[Domain, Problem]]:
+    """Each dataset entry's domain and problem, parsed from its
+    ``instruction`` and ``input``; a ValueError names the first entry that
+    does not parse."""
+    tasks = []
+    for index, entry in enumerate(entries):
+        try:
+            domain = parse_domain(entry["instruction"])
+            tasks.append((domain, parse_problem(entry["input"], domain)))
+        except ValueError as err:
+            raise ValueError(f"record {index}: {err}") from err
+    return tasks
+
+
+def score(
+    tasks: list[tuple[Domain, Problem]], inferences: list[InferenceRecord]
+) -> dict:
+    """Validate each returned plan against its own domain and problem, as
+    ``parse_entries`` gives them.
 
     Returns the ``metrics.json`` document: ``{"mixed": group, "per_domain":
     {name: group}}`` with the domains in name order (see ``_group``).
     """
-    if len(entries) != len(inferences):
+    if len(tasks) != len(inferences):
         raise ValueError(
-            f"{len(entries)} entries but {len(inferences)} inference records"
+            f"{len(tasks)} entries but {len(inferences)} inference records"
         )
     rows: list[dict] = []
-    for entry, inference in zip(entries, inferences):
-        domain = parse_domain(entry["instruction"])
-        problem = parse_problem(entry["input"], domain)
+    for (domain, problem), inference in zip(tasks, inferences):
         row = {
             "domain": domain.name,
             "latency": inference.latency,

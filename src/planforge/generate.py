@@ -218,9 +218,11 @@ def generate_batch(
         journal = journal_path.read_text().split()
         # A crash mid-append can leave a torn final line; drop it and let the
         # replay re-emit that problem (its file, if any, is rewritten as-is).
+        # Whole or not at all: a crash during a plain rewrite could tear the
+        # last line kept, and the next append would run on from it.
         if journal and not _is_fingerprint(journal[-1]):
             journal.pop()
-            journal_path.write_text("".join(fp + "\n" for fp in journal))
+            atomic_write(journal_path, "".join(fp + "\n" for fp in journal))
 
     result = GenerationResult()
     seen: set[str] = set()

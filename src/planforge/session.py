@@ -36,7 +36,7 @@ from planforge.dataset import (
     per_domain_quotas,
 )
 from planforge.dpgc import load_config
-from planforge.drivers import PlannerAdapter, load_adapters, plan_batch
+from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_batch
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
 
@@ -217,9 +217,11 @@ def stage_plan(
     adapter: PlannerAdapter,
     *,
     timeout: float | None = None,
-    workers: int = 1,
+    pool: PlannerPool | None = None,
 ) -> dict:
-    """Plan every problem that does not have a plan file yet.
+    """Plan every problem that does not have a plan file yet, on ``pool``'s
+    workers (see ``plan_batch``; without a pool, on one worker started for
+    this call).
 
     Plans are only written if they validate, so rerunning after an
     interruption picks up exactly the unplanned remainder.  A session keeps
@@ -257,7 +259,7 @@ def stage_plan(
             pending,
             session.plans_dir,
             timeout=timeout,
-            workers=workers,
+            pool=pool,
             log_path=session.planning_log,
         )
     tally = dict(Counter(entry.status for entry in entries))
@@ -364,7 +366,9 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     Each domain is generated and planned in its own sub-session.  When fewer
     usable (problem, plan) pairs exist than the quotas require, the target
     count is raised by the missing amount and the generate/plan stages run
-    again, at most ``MAX_ROUNDS`` times.
+    again, at most ``MAX_ROUNDS`` times.  Every round of every domain plans
+    on one ``PlannerPool`` of ``config["workers"]`` workers, which is closed
+    before assembly, and also when a stage fails.
     """
     root = Path(root)
     pipeline = Session(root)
@@ -380,40 +384,38 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
 
     summary: dict = {"domains": {}}
     all_records: list[DatasetRecord] = []
-    for entry in config["domains"]:
-        domain_name = parse_domain(Path(entry["domain"]).read_text()).name
-        sub = Session(root / domain_name)
-        target = entry["count"]
-        usable = 0
-        rounds = 0
-        while True:
-            rounds += 1
-            gen = stage_generate(sub, entry["dpgc"], entry["domain"], target, seed)
-            plan = stage_plan(
-                sub,
-                adapter,
-                timeout=config.get("timeout"),
-                workers=config.get("workers", 1),
-            )
-            records, skipped = collect_records(sub)
-            usable = len(records)
-            if usable >= needed_per_domain:
-                break
-            if rounds >= MAX_ROUNDS:
-                raise StageError(
-                    f"domain '{domain_name}': still {needed_per_domain - usable} "
-                    f"record(s) short after {rounds} round(s)"
+    with PlannerPool(config.get("workers", 1)) as pool:
+        for entry in config["domains"]:
+            domain_name = parse_domain(Path(entry["domain"]).read_text()).name
+            sub = Session(root / domain_name)
+            target = entry["count"]
+            usable = 0
+            rounds = 0
+            while True:
+                rounds += 1
+                gen = stage_generate(sub, entry["dpgc"], entry["domain"], target, seed)
+                plan = stage_plan(
+                    sub, adapter, timeout=config.get("timeout"), pool=pool
                 )
-            target += needed_per_domain - usable
-        all_records.extend(records)
-        summary["domains"][domain_name] = {
-            "target": target,
-            "usable": usable,
-            "skipped_without_plan": len(skipped),
-            "generate": gen,
-            "plan": plan,
-            "rounds": rounds,
-        }
+                records, skipped = collect_records(sub)
+                usable = len(records)
+                if usable >= needed_per_domain:
+                    break
+                if rounds >= MAX_ROUNDS:
+                    raise StageError(
+                        f"domain '{domain_name}': still {needed_per_domain - usable} "
+                        f"record(s) short after {rounds} round(s)"
+                    )
+                target += needed_per_domain - usable
+            all_records.extend(records)
+            summary["domains"][domain_name] = {
+                "target": target,
+                "usable": usable,
+                "skipped_without_plan": len(skipped),
+                "generate": gen,
+                "plan": plan,
+                "rounds": rounds,
+            }
 
     manifest = stage_assemble(all_records, quotas, seed, pipeline.dataset_dir)
     summary["dataset"] = manifest["counts"]

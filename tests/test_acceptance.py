@@ -31,7 +31,7 @@ from planforge.cli import main
 from planforge.dataset import assemble, audit_leakage, build_records
 from planforge.dpgc import load_config, parse_config
 from planforge.drivers import reference_plan, solve
-from planforge.evaluate import InferenceRecord, render_report, score
+from planforge.evaluate import InferenceRecord, parse_entries, render_report, score
 from planforge.generate import fingerprint_problem, generate_batch, sample_problem
 from planforge.pddl.ground import PreconditionError, apply_action, ground_action_for
 from planforge.pddl.parser import parse_domain, parse_problem
@@ -431,7 +431,7 @@ def test_criterion_08_metrics_match_hand_computation(
         InferenceRecord(i, "ok", latency, output)
         for i, (output, latency) in enumerate(zip(outputs, latencies))
     ]
-    metrics = score(entries, inferences)
+    metrics = score(parse_entries(entries), inferences)
     mixed = metrics["mixed"]
 
     # by hand: 3 of 4 valid; step lengths 4, 4, 8; times 1..4

@@ -101,10 +101,11 @@ def test_worker_solves_are_traced(tmp_path):
     script = (
         "from pathlib import Path\n"
         "from planforge import assets_dir\n"
-        "from planforge.drivers import load_adapters, plan_batch\n"
-        "plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
-        f"           [Path(p) for p in {[str(p) for p in problems]!r}],\n"
-        f"           {str(tmp_path / 'plans')!r}, workers=2)\n"
+        "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
+        "with PlannerPool(2) as pool:\n"
+        "    plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+        f"               [Path(p) for p in {[str(p) for p in problems]!r}],\n"
+        f"               {str(tmp_path / 'plans')!r}, pool=pool)\n"
     )
     env = dict(os.environ, PLANFORGE_BENCH_TRACE=str(trace),
                PYTHONPATH=os.pathsep.join([str(BENCH / "hook"), str(SRC)]))

@@ -409,11 +409,16 @@ def test_eval_rejects_malformed_datasets(tmp_path, capsys, stub_endpoint):
     posted = []
     server = stub_endpoint(lambda payload: posted.append(payload) or {"text": ""})
     good = {"instruction": "x", "input": "y", "output": "z"}
+    pddl = {"instruction": (assets_dir() / "artic3.pddl").read_text(),
+            "input": (assets_dir() / "artic3_micro.pddl").read_text(), "output": ""}
     for records, message in (
         ([good, 5], "record 1 is not an object"),
         ([good, ["x", "y", "z"]], "record 1 is not an object"),
         ([good, dict(good, instruction=5)], "record 1 has a field that is not a string"),
         ([dict(good, output=None)], "record 0 has a field that is not a string"),
+        # every field a string, but not PDDL
+        ([pddl, dict(pddl, instruction="not pddl")], "record 1: line 1, col 5"),
+        ([pddl, pddl, dict(pddl, input="(define")], "record 2: line 1, col 1"),
     ):
         dataset = tmp_path / "typed.json"
         dataset.write_text(json.dumps(records))

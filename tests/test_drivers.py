@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -7,9 +8,11 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import threading
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from planforge.drivers import (
     ExpansionBudgetExceeded,
     NormalizationError,
     PlannerAdapter,
+    PlannerPool,
     load_adapters,
     normalize_output,
     plan_batch,
@@ -33,7 +37,14 @@ from planforge.dpgc import parse_config
 from planforge.generate import generate_batch
 from planforge.pddl.ground import static_predicates
 from planforge.pddl.parser import parse_domain, parse_problem
-from planforge.session import Session, stage_generate, stage_plan
+from planforge.session import (
+    Session,
+    StageError,
+    load_pipeline_config,
+    run_pipeline,
+    stage_generate,
+    stage_plan,
+)
 
 
 def test_bundled_registry_loads():
@@ -160,6 +171,14 @@ def _live_children() -> list[int]:
     pids = [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()]
     return [pid for pid in pids
             if _alive(pid) and (_stat(pid) or [0, 0])[1] == str(os.getpid())]
+
+
+def _nothing_outlives_the_pool() -> None:
+    """No worker, helper process or resource tracker of this process is left."""
+    assert multiprocessing.active_children() == []
+    assert resource_tracker._resource_tracker._pid is None
+    if Path("/proc/self/stat").exists():
+        assert _live_children() == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
@@ -494,8 +513,9 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
     problems = sorted((root / "problems").iterdir())
     seq = plan_batch(adapters["internal"], domain_path, problems,
                      root / "plans-seq")
-    par = plan_batch(adapters["internal"], domain_path, problems,
-                     root / "plans-par", workers=4)
+    with PlannerPool(4) as pool:
+        par = plan_batch(adapters["internal"], domain_path, problems,
+                         root / "plans-par", pool=pool)
     for problem in problems:
         plan = f"{problem.stem}.plan"
         assert (root / "plans-seq" / plan).read_text() == (
@@ -511,10 +531,12 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
     domain_path = root / "domain.pddl"
     domain_path.write_text(artic3_domain_text)
     problems = sorted((root / "problems").iterdir())
-    pooled = plan_batch(load_adapters()["internal"], domain_path, problems,
-                        root / "plans-pool", workers=2)
-    spawned = plan_batch(subprocess_refplan(), domain_path, problems,
-                         root / "plans-subprocess", workers=2)
+    # one pool serves both batches, and nothing of it outlives its close
+    with PlannerPool(2) as pool:
+        pooled = plan_batch(load_adapters()["internal"], domain_path, problems,
+                            root / "plans-pool", pool=pool)
+        spawned = plan_batch(subprocess_refplan(), domain_path, problems,
+                             root / "plans-subprocess", pool=pool)
     assert [e.status for e in pooled] == [e.status for e in spawned]
     assert any(e.status == "solved" for e in pooled)
     for problem, ours in zip(problems, pooled):
@@ -522,9 +544,7 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
             plan = f"{problem.stem}.plan"
             assert (root / "plans-pool" / plan).read_bytes() == (
                 root / "plans-subprocess" / plan).read_bytes()
-    assert multiprocessing.active_children() == []
-    if Path("/proc/self/stat").exists():
-        assert _live_children() == []
+    _nothing_outlives_the_pool()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -578,6 +598,161 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     assert multiprocessing.active_children() == []
 
 
+def test_one_pool_plans_as_one_pool_per_batch(tmp_path, artic3, artic3m,
+                                              artic3_domain_text, artic3_config,
+                                              artic3m_config):
+    root = tmp_path / "s"
+    generate_batch(artic3_config, artic3, 6, 5, root / "a" / "problems",
+                   root / "a" / "journal.fp")
+    generate_batch(artic3m_config, artic3m, 3, 5, root / "m" / "problems",
+                   root / "m" / "journal.fp")
+    (root / "a" / "domain.pddl").write_text(artic3_domain_text)
+    (root / "m" / "domain.pddl").write_text((assets_dir() / "artic3m.pddl").read_text())
+    artic3_problems = sorted((root / "a" / "problems").iterdir())
+    # artic3, then artic3m, then artic3 again, each with its own timeout
+    batches = [("a", artic3_problems[:3], 30.0), ("m", None, 20.0),
+               ("a", artic3_problems[3:], 40.0)]
+    internal = load_adapters()["internal"]
+
+    def plan_all(out, pool_of):
+        results = []
+        for name, problems, timeout in batches:
+            problems = problems or sorted((root / name / "problems").iterdir())
+            with pool_of() as pool:
+                results += plan_batch(internal, root / name / "domain.pddl", problems,
+                                      out / name, timeout=timeout, pool=pool)
+        return results
+
+    with PlannerPool(2) as shared:
+        reused = plan_all(tmp_path / "shared", lambda: contextlib.nullcontext(shared))
+    fresh = plan_all(tmp_path / "fresh", lambda: PlannerPool(2))
+    assert [e.status for e in reused] == ["solved"] * 9
+    assert [e.plan_text for e in reused] == [e.plan_text for e in fresh]
+    for name in ("a", "m"):
+        shared_plans = sorted((tmp_path / "shared" / name).iterdir())
+        assert [p.read_bytes() for p in shared_plans] == [
+            (tmp_path / "fresh" / name / p.name).read_bytes() for p in shared_plans
+        ]
+    _nothing_outlives_the_pool()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
+    tmp_path, artic3_domain_text, micro_text
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    stuck = tmp_path / "stuck.pddl"
+    os.mkfifo(stuck)
+    internal = load_adapters()["internal"]
+    results = []
+    with PlannerPool(2) as pool:
+        batch = threading.Thread(target=lambda: results.append(plan_batch(
+            internal, domain_path, [problem_path, stuck], tmp_path / "plans",
+            timeout=60, pool=pool,
+        )))
+        batch.start()
+        plan_file = tmp_path / "plans" / "problem.plan"
+        deadline = time.monotonic() + 30
+        while not plan_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # both workers die: the one stuck on the pipe and the idle one
+        victims = multiprocessing.active_children()
+        for worker in victims:
+            worker.kill()
+        batch.join(timeout=60)
+        assert not batch.is_alive()
+        assert len(victims) == 2
+        solved, killed = results[0]
+        assert (solved.status, killed.status) == ("solved", "crashed")
+        # the idle one is dead and reaped before the next batch
+        for worker in victims:
+            worker.join(timeout=30)
+            assert worker.exitcode is not None
+
+        others = []
+        for stem in ("b", "c", "d"):
+            others.append(tmp_path / f"{stem}.pddl")
+            others[-1].write_text(micro_text)
+        again = plan_batch(internal, domain_path, others, tmp_path / "plans", pool=pool)
+        assert [e.status for e in again] == ["solved"] * 3
+        assert len(multiprocessing.active_children()) <= 2
+    _nothing_outlives_the_pool()
+
+
+def test_closing_one_pool_leaves_another_pools_workers_alone(tmp_path):
+    # in a child process, so that a close that waits on the other pool's
+    # worker fails by timeout instead of hanging the suite
+    script = (
+        "import multiprocessing\n"
+        "from multiprocessing import resource_tracker\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
+        "domain = assets_dir() / 'artic3.pddl'\n"
+        "problems = [assets_dir() / 'artic3_micro.pddl']\n"
+        "internal = load_adapters()['internal']\n"
+        f"plans = {str(tmp_path / 'plans')!r}\n"
+        "with PlannerPool() as outer:\n"
+        "    with PlannerPool() as inner:\n"
+        "        for pool in (inner, outer):\n"
+        "            plan_batch(internal, domain, problems, plans, pool=pool)\n"
+        "    (entry,) = plan_batch(internal, domain, problems, plans, pool=outer)\n"
+        "    assert entry.status == 'solved'\n"
+        "assert multiprocessing.active_children() == []\n"
+        "assert resource_tracker._resource_tracker._pid is None\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(drivers.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
+def _two_domain_config(tmp_path, **overrides) -> dict:
+    """Two domains, each a few problems short of its share of the quotas,
+    so that both take a top-up round."""
+    config = {
+        "seed": 11,
+        "domains": [
+            {"domain": str(assets_dir() / "artic3.pddl"),
+             "dpgc": str(assets_dir() / "artic3.dpgc.json"), "count": 3},
+            {"domain": str(assets_dir() / "artic3m.pddl"),
+             "dpgc": str(assets_dir() / "artic3m.dpgc.json"), "count": 3},
+        ],
+        "quotas": {"train": 8, "val": 2},
+        "workers": 2,
+        **overrides,
+    }
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(config))
+    return load_pipeline_config(path)
+
+
+def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(process):
+        started.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    summary = run_pipeline(_two_domain_config(tmp_path), tmp_path / "run")
+    assert [info["rounds"] > 1 for info in summary["domains"].values()] == [True, True]
+    assert len(started) == 2
+    _nothing_outlives_the_pool()
+
+
+def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
+    import planforge.session as session_module
+
+    registry = tmp_path / "adapters.json"
+    registry.write_text(json.dumps({"adapters": [
+        {"name": "fails", "executable": "sh", "args": ["-c", "exit 1"]}]}))
+    monkeypatch.setattr(session_module, "MAX_ROUNDS", 2)
+    config = _two_domain_config(tmp_path, adapter="fails",
+                                adapters_file=str(registry))
+    with pytest.raises(StageError, match="short after 2 round"):
+        run_pipeline(config, tmp_path / "run")
+    _nothing_outlives_the_pool()
+
+
 def _group_alive(pgid: int) -> bool:
     """Whether process group ``pgid`` has a live (non-zombie) member."""
     pids = [p.name for p in Path("/proc").iterdir() if p.name.isdigit()]
@@ -600,10 +775,13 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
         timeout=2,
     )
     results = []
-    batch = threading.Thread(target=lambda: results.append(plan_batch(
-        adapter, domain_path, [problem_path, other_path], tmp_path / "plans",
-        workers=2,
-    )))
+
+    def run_batch():
+        with PlannerPool(2) as pool:
+            results.append(plan_batch(adapter, domain_path, [problem_path, other_path],
+                                      tmp_path / "plans", pool=pool))
+
+    batch = threading.Thread(target=run_batch)
     batch.start()
     try:
         deadline = time.monotonic() + 30
@@ -655,11 +833,11 @@ def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn)
     with pytest.raises(OSError, match="no space left"):
-        stage_plan(session, internal, workers=1)
+        stage_plan(session, internal)
     monkeypatch.undo()
     assert list(session.plans_dir.iterdir()) == []
 
-    result = stage_plan(session, internal, workers=1)
+    result = stage_plan(session, internal)
     assert result["attempted"] == 3
     assert result["planned"] == 3
     assert sorted(p.name for p in session.plans_dir.iterdir()) == [
@@ -684,7 +862,7 @@ def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", fails_second)
     with pytest.raises(OSError, match="no space left"):
-        stage_plan(session, load_adapters()["internal"], workers=1)
+        stage_plan(session, load_adapters()["internal"])
     monkeypatch.undo()
     assert (session.plans_dir / f"{first.stem}.plan").exists()
     lines = session.planning_log.read_text().splitlines()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,36 @@ def test_batch_recovers_from_torn_journal_line(tmp_path, artic3, artic3_config):
                             root / "problems", root / "journal.fp")
     assert result.replayed == 10
     assert (root / "journal.fp").read_text() == clean
+
+
+def test_batch_survives_a_crash_while_dropping_a_torn_line(tmp_path, artic3,
+                                                          artic3_config, monkeypatch):
+    straight = tmp_path / "straight"
+    generate_batch(artic3_config, artic3, 12, 3,
+                   straight / "problems", straight / "journal.fp")
+    root = tmp_path / "s"
+    generate_batch(artic3_config, artic3, 8, 3, root / "problems", root / "journal.fp")
+    with open(root / "journal.fp", "a") as fh:
+        fh.write("deadbeef")  # partial write: not a full fingerprint
+    write_text = Path.write_text
+
+    def torn(path, data, *args, **kwargs):
+        # the disk fills up one byte short of the journal without its torn line
+        if "journal.fp" in path.name:
+            write_text(path, data[:-1], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError, match="no space left"):
+        generate_batch(artic3_config, artic3, 8, 3, root / "problems", root / "journal.fp")
+    monkeypatch.undo()
+    # the resume, then a top-up through the journal it left
+    for count in (10, 12):
+        generate_batch(artic3_config, artic3, count, 3,
+                       root / "problems", root / "journal.fp")
+    assert read_dir(root / "problems") == read_dir(straight / "problems")
+    assert (root / "journal.fp").read_text() == (straight / "journal.fp").read_text()
 
 
 def test_batch_rewrites_missing_problem_files_on_replay(tmp_path, artic3, artic3_config):

@@ -11,7 +11,7 @@ from planforge import assets_dir
 from planforge.dataset import build_records
 from planforge.dpgc import load_config
 from planforge.drivers import load_adapters
-from planforge.evaluate import InferenceRecord, export_report, score
+from planforge.evaluate import InferenceRecord, export_report, parse_entries, score
 from planforge.generate import generate_batch
 from planforge.pddl.parser import parse_domain
 from planforge.session import (
@@ -103,7 +103,7 @@ def _export_report(out_dir):
     entry = {"instruction": ARTIC3_DOMAIN.read_text(),
              "input": (assets_dir() / "artic3_micro.pddl").read_text(),
              "output": MICRO_PLAN}
-    metrics = score([entry], [InferenceRecord(0, "ok", 0.1, MICRO_PLAN)])
+    metrics = score(parse_entries([entry]), [InferenceRecord(0, "ok", 0.1, MICRO_PLAN)])
     export_report(metrics, out_dir / "metrics.json", out_dir / "metrics.txt")
 
 
