@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 
 def assets_dir() -> Path:
-    """Directory holding the bundled domains, generation configs and schemas."""
+    """Directory holding the bundled domains, generation configs and adapters."""
     return Path(__file__).resolve().parent / "assets"
 
 

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 # Subcommands import what they use when they run: the planner protocol
-# (``refplan``) and ``validate`` need neither jsonschema nor requests, and
-# each ``eval`` or ``pipeline`` run loads only its own side.
+# (``refplan``) and ``validate`` need neither config checks nor the HTTP
+# client, and each ``eval`` or ``pipeline`` run loads only its own side.
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -267,7 +267,9 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
 
     The recompute goes through a full parse and canonical re-render of each
     record's ``input`` against its own ``instruction``, so cosmetic
-    differences (whitespace, ordering) cannot hide a leak.
+    differences (whitespace, ordering) cannot hide a leak.  A file that is
+    not an array of records with a string ``instruction`` and ``input``
+    that parse is a DatasetError naming the file and the record.
     """
     dataset_dir = Path(dataset_dir)
     files = sorted(dataset_dir.glob("*.json"))
@@ -277,11 +279,23 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
     seen: dict[str, list[tuple[str, int]]] = {}
     counts: dict[str, int] = {}
     for path in files:
-        data = json.loads(path.read_text())
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as err:
+            raise DatasetError(f"{path.name}: {err}") from err
+        if not isinstance(data, list):
+            raise DatasetError(f"{path.name}: expected an array of records")
         counts[path.name] = len(data)
         for index, entry in enumerate(data):
-            domain = parse_domain(entry["instruction"])
-            problem = parse_problem(entry["input"], domain)
+            if not (isinstance(entry, dict) and all(
+                    isinstance(entry.get(key), str) for key in ("instruction", "input"))):
+                raise DatasetError(
+                    f"{path.name}: record {index} needs a string 'instruction' and 'input'")
+            try:
+                domain = parse_domain(entry["instruction"])
+                problem = parse_problem(entry["input"], domain)
+            except ValueError as err:
+                raise DatasetError(f"{path.name}: record {index}: {err}") from err
             fp = fingerprint_problem(problem)
             seen.setdefault(fp, []).append((path.name, index))
     collisions = [

@@ -17,13 +17,12 @@ an error.  ``parse_config`` raises the structural ones and
 from __future__ import annotations
 
 import json
+import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
-
-from planforge import assets_dir
 from planforge.pddl.model import Atom, Domain, is_known_type_in
 
 _ATOM_RE = re.compile(r"^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$")
@@ -107,18 +106,78 @@ class GeneratorConfig:
     mutex_groups: tuple[MutexGroup, ...] = ()
 
 
-def _load_schema() -> dict:
-    return json.loads((assets_dir() / "dpgc.schema.json").read_text())
+# A kind is an _Object (fields: key -> kind), an _Array of item kinds, "name"
+# (a non-empty string), "usage" (one of _USAGES) or a key of _NUMBERS:
+# (whole, minimum, maximum, minimum excluded).  A whole number is an int, and
+# every number is finite.
+_Object = namedtuple("_Object", "fields required")
+_Array = namedtuple("_Array", "item min_items", defaults=(0,))
+_USAGES = ["random", "mutex", "sequential"]
+_NUMBERS = {
+    "count": (True, 1, math.inf, False),
+    "probability": (False, 0, 1, False),
+    "weight": (False, 0, math.inf, True),
+}
+_ATOM_TEMPLATE = _Object(
+    {"predicate": "name", "args": _Array("name"), "probability": "probability"},
+    ("predicate", "args"))
+_PREDICATE_POOL = _Object(
+    {"id": "name", "count": "count", "atoms": _Array(_ATOM_TEMPLATE, 1)}, ("id", "atoms"))
+_CONFIG = _Object({
+    "domain": "name",
+    "object_pools": _Array(_Object(
+        {"id": "name", "type": "name", "prefix": "name", "quantity": "count",
+         "usage": "usage"}, ("id", "type", "quantity")), 1),
+    "constant_init": _Array("name"),
+    "variable_init": _Array(_PREDICATE_POOL),
+    "variable_goal": _Array(_PREDICATE_POOL),
+    "mutex_groups": _Array(_Object(
+        {"id": "name", "members": _Array("name", 2), "weights": _Array("weight", 2)},
+        ("id", "members", "weights"))),
+}, ("domain", "object_pools"))
 
 
-def _json_path(error: jsonschema.ValidationError) -> str:
-    parts = ["config"]
-    for part in error.absolute_path:
-        if isinstance(part, int):
-            parts[-1] += f"[{part}]"
-        else:
-            parts.append(str(part))
-    return ".".join(parts)
+def _check_shape(value, kind, path: str, errors: list[Diagnostic]) -> None:
+    """Append a diagnostic for each place where ``value`` is not of ``kind``."""
+    def error(message: str) -> None:
+        errors.append(Diagnostic(path, message))
+
+    if isinstance(kind, _Object):
+        if not isinstance(value, dict):
+            return error(f"{value!r} is not of type 'object'")
+        for key in kind.required:
+            if key not in value:
+                error(f"'{key}' is a required property")
+        for key in sorted(value.keys() - kind.fields.keys()):
+            error(f"Additional properties are not allowed ({key!r} was unexpected)")
+        for key, sub in kind.fields.items():
+            if key in value:
+                _check_shape(value[key], sub, f"{path}.{key}", errors)
+    elif isinstance(kind, _Array):
+        if not isinstance(value, list):
+            return error(f"{value!r} is not of type 'array'")
+        if len(value) < kind.min_items:
+            error(f"{value!r} is too short")
+        for i, item in enumerate(value):
+            _check_shape(item, kind.item, f"{path}[{i}]", errors)
+    elif kind == "name":
+        if not isinstance(value, str):
+            error(f"{value!r} is not of type 'string'")
+        elif not value:
+            error("'' should be non-empty")
+    elif kind == "usage":
+        if value not in _USAGES:
+            error(f"{value!r} is not one of {_USAGES!r}")
+    else:
+        whole, low, high, low_excluded = _NUMBERS[kind]
+        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+            error(f"{value!r} is not of type '{'integer' if whole else 'number'}'")
+        elif isinstance(value, float) and not math.isfinite(value):
+            error(f"{value!r} is not a finite number")
+        elif value < low or (low_excluded and value == low):
+            error(f"{value!r} is less than {'or equal to ' * low_excluded}the minimum of {low}")
+        elif value > high:
+            error(f"{value!r} is greater than the maximum of {high}")
 
 
 def parse_ground_atom(text: str) -> Atom:
@@ -167,12 +226,11 @@ def parse_config(text: str) -> GeneratorConfig:
     except json.JSONDecodeError as err:
         raise ConfigError([Diagnostic("config", f"invalid JSON: {err}")]) from err
 
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    schema_errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if schema_errors:
-        raise ConfigError([Diagnostic(_json_path(e), e.message) for e in schema_errors])
-
     errors: list[Diagnostic] = []
+    _check_shape(data, _CONFIG, "config", errors)
+    if errors:
+        raise ConfigError(errors)
+
     pools: dict[str, ObjectPool] = {}
     for i, raw in enumerate(data["object_pools"]):
         pool = ObjectPool(

@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -126,22 +127,33 @@ def load_adapters(path: str | Path | None = None) -> dict[str, PlannerAdapter]:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise AdapterError(f"cannot read adapter registry {path}: {err}") from err
-    entries = data.get("adapters")
+    entries = data.get("adapters") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise AdapterError(f"{path}: expected a top-level 'adapters' array")
     out: dict[str, PlannerAdapter] = {}
     for i, raw in enumerate(entries):
         where = f"{path}: adapters[{i}]"
+        if not isinstance(raw, dict):
+            raise AdapterError(f"{where}: expected an object")
         for key in ("name", "executable", "args"):
             if key not in raw:
                 raise AdapterError(f"{where}: missing '{key}'")
+        for key in ("name", "executable"):
+            if not isinstance(raw[key], str):
+                raise AdapterError(f"{where}: '{key}' must be a string")
+        if not isinstance(raw["args"], list) or not all(isinstance(a, str) for a in raw["args"]):
+            raise AdapterError(f"{where}: 'args' must be an array of strings")
+        timeout = raw.get("timeout", 60.0)
+        is_number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not (is_number and timeout < math.inf):
+            raise AdapterError(f"{where}: timeout must be a finite number")
         adapter = PlannerAdapter(
             name=raw["name"],
             executable=raw["executable"],
             args=tuple(raw["args"]),
             output=raw.get("output", "file"),
             dialect=raw.get("dialect", "val_native"),
-            timeout=float(raw.get("timeout", 60.0)),
+            timeout=float(timeout),
         )
         if adapter.output not in OUTPUT_MODES:
             raise AdapterError(f"{where}: unknown output mode '{adapter.output}'")

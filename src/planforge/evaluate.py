@@ -11,14 +11,15 @@ the standard deviation is the population form.
 
 from __future__ import annotations
 
+import http.client
 import json
 import statistics
 import time
+import urllib.error
+import urllib.request
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import requests
 
 from planforge import atomic_write
 from planforge.pddl.model import Domain, Problem
@@ -86,9 +87,13 @@ def extract_completion(data) -> str:
 
 def check_reachable(endpoint: EndpointConfig) -> None:
     """Fail fast before a long run; any HTTP answer counts as reachable."""
+    if not endpoint.url.lower().startswith(("http://", "https://")):
+        raise EndpointError(f"endpoint {endpoint.url} is not an http(s) URL")
     try:
-        requests.get(endpoint.url, timeout=min(endpoint.timeout, 5.0))
-    except requests.RequestException as err:
+        urllib.request.urlopen(endpoint.url, timeout=min(endpoint.timeout, 5.0)).close()
+    except urllib.error.HTTPError as err:
+        err.close()
+    except (OSError, http.client.HTTPException, ValueError) as err:
         raise EndpointError(f"endpoint {endpoint.url} is unreachable: {err}") from err
 
 
@@ -127,17 +132,17 @@ def _query(
         "temperature": endpoint.temperature,
         "max_tokens": max_tokens,
     }
+    request = urllib.request.Request(
+        endpoint.url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
+    )
     last_error = ""
     start = time.perf_counter()
     for _attempt in range(endpoint.retries + 1):
         try:
-            response = requests.post(
-                endpoint.url, json=payload, timeout=endpoint.timeout
-            )
-            response.raise_for_status()
-            text = extract_completion(response.json())
+            with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+                text = extract_completion(json.loads(response.read()))
             return InferenceRecord(index, "ok", time.perf_counter() - start, text)
-        except (requests.RequestException, ValueError, EndpointError) as err:
+        except (OSError, http.client.HTTPException, ValueError, EndpointError) as err:
             last_error = str(err)
     return InferenceRecord(index, "error", time.perf_counter() - start, detail=last_error)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -137,7 +137,7 @@ def make_stub_adapter(tmp_path: Path, body: str, *, name: str = "stub",
 
 class _StubHandler(BaseHTTPRequestHandler):
     def do_GET(self):
-        self.send_response(200)
+        self.send_response(self.server.get_status)
         self.end_headers()
         self.wfile.write(b"ok")
 
@@ -149,7 +149,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(result)
             self.end_headers()
             return
-        body = json.dumps(result).encode()
+        body = result if isinstance(result, bytes) else json.dumps(result).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -160,13 +160,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _StubServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has closed its end before the answer
+
+
 class StubEndpoint:
     """Tiny completion server; ``reply`` maps request payload to response
-    payload (or an int HTTP status for error injection)."""
+    payload, raw body bytes, or an int HTTP status for error injection (and
+    may sleep to delay its answer).  A GET is answered with ``get_status``."""
 
-    def __init__(self, reply):
-        self.server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    def __init__(self, reply, get_status: int = 200):
+        self.server = _StubServer(("127.0.0.1", 0), _StubHandler)
         self.server.reply = reply
+        self.server.get_status = get_status
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
@@ -184,8 +193,8 @@ class StubEndpoint:
 def stub_endpoint():
     servers = []
 
-    def factory(reply):
-        endpoint = StubEndpoint(reply)
+    def factory(reply, get_status: int = 200):
+        endpoint = StubEndpoint(reply, get_status)
         servers.append(endpoint)
         return endpoint
 

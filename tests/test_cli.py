@@ -56,7 +56,7 @@ def test_missing_required_flag_is_a_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-HEAVY_MODULES = ("requests", "jsonschema", "planforge.dpgc", "planforge.generate")
+HEAVY_MODULES = ("planforge.evaluate", "planforge.dpgc", "planforge.generate")
 
 
 def modules_after(argv: list[str] | None) -> set[str]:
@@ -101,8 +101,8 @@ def test_commands_import_only_what_they_use(tmp_path):
     assert modules_after([
         "eval", "--dataset", str(split), "--endpoint", "http://127.0.0.1:1/x",
         "--out", str(tmp_path / "report"),
-    ]) == {"requests"}
-    assert "requests" not in modules_after([
+    ]) == {"planforge.evaluate"}
+    assert "planforge.evaluate" not in modules_after([
         "pipeline", "--config", str(tmp_path / "missing.json"),
         "--session", str(tmp_path / "run"),
     ])
@@ -245,6 +245,17 @@ def test_assemble_audit_and_leakage(cli_session, tmp_path, capsys):
     assert main(["audit", "--dataset", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("leakage: 1 fingerprint(s) shared across files")
+
+
+def test_audit_exits_2_on_a_malformed_split_file(tmp_path, capsys):
+    (tmp_path / "train.json").write_text("{}")
+    assert main(["audit", "--dataset", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: train.json: expected an array of records\n"
+    (tmp_path / "train.json").write_text(json.dumps([{"instruction": "x"}]))
+    assert main(["audit", "--dataset", str(tmp_path)]) == 2
+    assert "train.json: record 0 needs a string" in capsys.readouterr().err
 
 
 def test_assemble_rejects_all_zero_quotas(cli_session, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -274,6 +275,20 @@ def test_audit_flags_duplicates_within_one_file(tmp_path, corpus):
     assert [name for name, _ in collision["occurrences"]] == [
         "train.json", "train.json",
     ]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "train.json: expected an array of records"),
+    ("[{", "train.json: Expecting property name"),
+    ('[{"instruction": "(define (domain d))"}]', "train.json: record 0 needs a string"),
+    ('["record"]', "train.json: record 0 needs a string"),
+    ('[{"instruction": 1, "input": ""}]', "train.json: record 0 needs a string"),
+    ('[{"instruction": "(define", "input": ""}]', "train.json: record 0: line 1"),
+])
+def test_audit_refuses_malformed_split_files(tmp_path, text, message):
+    (tmp_path / "train.json").write_text(text)
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        audit_leakage(tmp_path)
 
 
 def test_audit_requires_split_files(tmp_path):

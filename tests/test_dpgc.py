@@ -114,6 +114,56 @@ def test_schema_rejections():
                for m in errors_of(json.dumps(no_atoms)))
 
 
+def _set(path, value):
+    """BASE as JSON text with the value at ``path`` (keys and indices) set."""
+    data = copy.deepcopy(BASE)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+GROUP = {"id": "g", "members": ["poses", "targets"], "weights": [1, 1]}
+
+
+@pytest.mark.parametrize("text, where, message", [
+    (_set(["object_pools", 0, "quantity"], 3.0), "object_pools[0].quantity",
+     "3.0 is not of type 'integer'"),
+    (_set(["variable_goal", 0, "count"], 2.0), "variable_goal[0].count",
+     "2.0 is not of type 'integer'"),
+    (_set(["object_pools", 0, "quantity"], True), "object_pools[0].quantity",
+     "True is not of type 'integer'"),
+    (_set(["variable_goal", 0, "atoms", 0, "probability"], float("nan")),
+     "variable_goal[0].atoms[0].probability", "nan is not a finite number"),
+    (_set(["mutex_groups"], [dict(GROUP, weights=[float("nan"), 1])]),
+     "mutex_groups[0].weights[0]", "nan is not a finite number"),
+    (_set(["mutex_groups"], [dict(GROUP, weights=[1, float("inf")])]),
+     "mutex_groups[0].weights[1]", "inf is not a finite number"),
+], ids=["float-quantity", "float-count", "bool-quantity", "nan-probability",
+        "nan-weight", "infinite-weight"])
+def test_whole_numbers_are_ints_and_numbers_are_finite(text, where, message):
+    assert errors_of(text) == [f"config.{where}: error: {message}"]
+
+
+def test_shape_errors_are_all_reported():
+    bad = copy.deepcopy(BASE)
+    del bad["domain"]
+    bad["object_pools"][0].update(quantity="3", colour="red")
+    bad["constant_init"] = [""]
+    bad["mutex_groups"] = [dict(GROUP, weights=[0, -1])]
+    assert errors_of(json.dumps(bad)) == [
+        "config: error: 'domain' is a required property",
+        "config.object_pools[0]: error: Additional properties are not allowed "
+        "('colour' was unexpected)",
+        "config.object_pools[0].quantity: error: '3' is not of type 'integer'",
+        "config.constant_init[0]: error: '' should be non-empty",
+        "config.mutex_groups[0].weights[0]: error: 0 is less than or equal to the minimum of 0",
+        "config.mutex_groups[0].weights[1]: error: -1 is less than or equal to the minimum of 0",
+    ]
+    assert errors_of("[]") == ["config: error: [] is not of type 'object'"]
+
+
 def test_duplicate_pool_id():
     msgs = errors_of(variant(object_pools=[
         {"id": "links", "type": "link", "prefix": "l", "quantity": 2},

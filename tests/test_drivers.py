@@ -6,6 +6,7 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -66,6 +67,10 @@ def test_load_adapters_rejections(tmp_path):
 
     with pytest.raises(AdapterError, match="top-level 'adapters' array"):
         load_adapters(write({"planners": []}))
+    with pytest.raises(AdapterError, match="top-level 'adapters' array"):
+        load_adapters(write([{"adapters": []}]))
+    with pytest.raises(AdapterError, match=re.escape("adapters[0]: expected an object")):
+        load_adapters(write({"adapters": ["internal"]}))
     with pytest.raises(AdapterError, match="missing 'executable'"):
         load_adapters(write({"adapters": [{"name": "x", "args": []}]}))
     entry = {"name": "x", "executable": "x", "args": []}
@@ -79,6 +84,25 @@ def test_load_adapters_rejections(tmp_path):
         load_adapters(write({"adapters": [dict(entry, timeout=0)]}))
     with pytest.raises(AdapterError, match="cannot read adapter registry"):
         load_adapters(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"args": "abc"}, "'args' must be an array of strings"),
+    ({"args": ["-d", 3]}, "'args' must be an array of strings"),
+    ({"name": 7}, "'name' must be a string"),
+    ({"executable": ["planner"]}, "'executable' must be a string"),
+    ({"timeout": float("nan")}, "timeout must be a finite number"),
+    ({"timeout": float("inf")}, "timeout must be a finite number"),
+    ({"timeout": True}, "timeout must be a finite number"),
+    ({"timeout": "60"}, "timeout must be a finite number"),
+    ({"timeout": -1}, "timeout must be positive"),
+])
+def test_load_adapters_refuses_ill_typed_fields(tmp_path, edit, message):
+    path = tmp_path / "adapters.json"
+    good = {"name": "x", "executable": "x", "args": []}
+    path.write_text(json.dumps({"adapters": [good, {**good, "name": "y", **edit}]}))
+    with pytest.raises(AdapterError, match=re.escape(f"adapters[1]: {message}")):
+        load_adapters(path)
 
 
 def test_normalize_val_native_is_byte_identical():

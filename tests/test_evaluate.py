@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -63,6 +64,17 @@ def test_check_reachable(stub_endpoint):
     check_reachable(EndpointConfig(url=server.url))
     with pytest.raises(EndpointError, match="unreachable"):
         check_reachable(EndpointConfig(url="http://127.0.0.1:9/void", timeout=0.5))
+
+
+def test_check_reachable_counts_any_http_answer(stub_endpoint):
+    server = stub_endpoint(lambda payload: {"text": ""}, get_status=500)
+    check_reachable(EndpointConfig(url=server.url))
+
+
+@pytest.mark.parametrize("url", ["file:///etc/hostname", "ftp://127.0.0.1/x", "127.0.0.1:1/x"])
+def test_check_reachable_refuses_urls_that_are_not_http(url):
+    with pytest.raises(EndpointError, match="not an http"):
+        check_reachable(EndpointConfig(url=url))
 
 
 def test_run_inference_round_trip(tmp_path, stub_endpoint, artic3_domain_text,
@@ -133,6 +145,46 @@ def test_run_inference_retries_and_records_unreadable_bodies(
     assert [r.status for r in records] == ["error", "error"]
     assert all("unrecognized response shape" in r.detail for r in records)
     assert len(out_path.read_text().splitlines()) == 2
+
+
+def test_run_inference_retries_a_body_that_is_not_json(
+        tmp_path, stub_endpoint, artic3_domain_text, micro_text):
+    bodies = []
+
+    def reply(payload):
+        bodies.append(payload)
+        return b"<html>busy</html>"
+
+    server = stub_endpoint(reply)
+    entry = micro_entry(artic3_domain_text, micro_text)
+    (record,) = run_inference([entry], EndpointConfig(url=server.url, retries=2),
+                              tmp_path / "inferences.jsonl")
+    assert len(bodies) == 3
+    assert record.status == "error"
+    assert "Expecting value" in record.detail
+
+
+def test_run_inference_retries_a_read_timeout(tmp_path, stub_endpoint,
+                                              artic3_domain_text, micro_text):
+    bodies = []
+    release = threading.Event()
+
+    def reply(payload):
+        bodies.append(payload)
+        release.wait(10)  # far past the client's timeout
+        return {"text": MICRO_PLAN}
+
+    server = stub_endpoint(reply)
+    entry = micro_entry(artic3_domain_text, micro_text)
+    config = EndpointConfig(url=server.url, timeout=0.3, retries=1)
+    try:
+        (record,) = run_inference([entry], config, tmp_path / "inferences.jsonl")
+    finally:
+        release.set()
+    assert len(bodies) == 2
+    assert record.status == "error"
+    assert "timed out" in record.detail
+    assert record.latency >= 2 * config.timeout
 
 
 def test_salvage_plan_drops_one_truncated_tail():
