@@ -109,12 +109,13 @@ class GeneratorConfig:
 # A kind is an _Object (fields: key -> kind), an _Array of item kinds, "name"
 # (a non-empty string), "usage" (one of _USAGES) or a key of _NUMBERS:
 # (whole, minimum, maximum, minimum excluded).  A whole number is an int, and
-# every number is finite.
+# every number is finite.  Counts are capped so that checking a config, which
+# builds every object name, takes bounded time and memory.
 _Object = namedtuple("_Object", "fields required")
 _Array = namedtuple("_Array", "item min_items", defaults=(0,))
 _USAGES = ["random", "mutex", "sequential"]
 _NUMBERS = {
-    "count": (True, 1, math.inf, False),
+    "count": (True, 1, 10_000, False),
     "probability": (False, 0, 1, False),
     "weight": (False, 0, math.inf, True),
 }

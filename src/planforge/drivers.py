@@ -10,7 +10,7 @@ exit, spawn failure or output the dialect cannot normalize maps to
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
-runs every solve on a ``PlannerPool``: spawned workers that a command starts
+runs every solve on a ``PlannerPool``: child interpreters that a command starts
 once and keeps for all its batches, each replaced alone if it hangs or dies.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -32,8 +32,7 @@ import time
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from multiprocessing import resource_tracker
-from multiprocessing.connection import wait
+from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 from planforge import assets_dir, atomic_write
@@ -517,7 +516,7 @@ def plan_batch(
 
 
 class PlannerPool:
-    """Up to ``workers`` spawned processes that ``solve`` problems, from the
+    """Up to ``workers`` child interpreters that ``solve`` problems, from the
     first batch that needs them until the pool is closed.
 
     A command opens one pool and solves all its batches on it, whatever
@@ -525,14 +524,13 @@ class PlannerPool:
     ``reference_plan``'s grounding memo from batch to batch.  The pool
     replaces a worker that hangs or dies, with the external planner it
     reported, and nothing else (see ``solve_batch``).  ``close``, or leaving
-    a ``with`` block, joins every worker, and multiprocessing's resource
-    tracker once no other pool has workers.  Workers are spawned, so a script using a pool needs the usual
-    ``if __name__ == "__main__":`` guard.  A pool solves one batch at a time.
+    a ``with`` block, stops every worker.  Workers run ``sys.executable``
+    with the parent's environment and planforge, and never import its
+    ``__main__``.  A pool solves one batch at a time.
     """
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = workers
-        self._context = multiprocessing.get_context("spawn")
         self._idle: list = []  # (process, connection) of workers waiting for a problem
 
     def __enter__(self) -> PlannerPool:
@@ -583,7 +581,7 @@ class PlannerPool:
                         _stop(process, conn, group)
                         result = SolveResult(
                             "crashed", None, time.monotonic() - sent,
-                            f"worker died with exit code {process.exitcode}",
+                            f"worker died with exit code {process.returncode}",
                         )
                     else:
                         if isinstance(result, int):  # its planner's group, as it starts
@@ -602,51 +600,53 @@ class PlannerPool:
             for conn, (process, _, _, group) in busy.items():
                 _stop(process, conn, group)
 
-    def _start(self) -> tuple[multiprocessing.Process, object]:
-        conn, child_end = self._context.Pipe()
-        process = self._context.Process(target=_work, args=(child_end,), daemon=True)
-        process.start()
+    def _start(self) -> tuple[subprocess.Popen, Connection]:
+        conn, child_end = Pipe()
+        fd = child_end.fileno()
+        process = subprocess.Popen(
+            [sys.executable, "-c", _WORKER, str(fd), str(Path(__file__).resolve().parents[1])],
+            stdin=subprocess.DEVNULL, pass_fds=(fd,))
         child_end.close()  # so that the worker's death reads as EOF
         return process, conn
 
     def close(self) -> None:
-        """Tell the idle workers to exit and join them, so that their exit
-        handlers run and their CPU time is this process's children's; then
-        stop the resource tracker, unless another pool still has workers."""
+        """Tell the idle workers to exit and reap them, so that their exit
+        handlers run and their CPU time is this process's children's."""
         idle, self._idle = self._idle, []
         for process, conn in idle:
             with contextlib.suppress(ConnectionError):  # unless it died idle
                 conn.send(None)
         for process, conn in idle:
-            process.join()
+            process.wait()
             conn.close()
-        # Starting a spawned process also started multiprocessing's resource
-        # tracker, a helper that would outlive the pool; stop and reap it
-        # like the workers.  It exits only once every spawned process has, so
-        # while another pool's workers live, the last pool closed stops it.
-        # No public way to do so exists.
-        if not multiprocessing.active_children():
-            resource_tracker._resource_tracker._stop()
 
 
-def _work(conn) -> None:
+# A worker serves pipe end argv[1], on the planforge in directory argv[2].
+_WORKER = ("import sys; sys.path.insert(0, sys.argv[2])\n"
+           "from planforge.drivers import _work; _work(int(sys.argv[1]))")
+
+
+def _work(fd: int) -> None:
     """Answer each (adapter, domain path, problem path, timeout) received on
-    ``conn`` with ``solve``'s result until ``None`` arrives, sending an
-    external planner's process group id first, as the planner starts.
-    ``solve`` is looked up on the module, so that a wrapper set there sees
-    every solve."""
+    the pipe end ``fd`` with ``solve``'s result until ``None`` arrives,
+    sending an external planner's process group id first, as the planner
+    starts.  ``solve`` is looked up on the module, so that a wrapper set
+    there sees every solve.  The pipe's end of file means the command died."""
     global _report_planner_group
+    conn = Connection(fd)
     _report_planner_group = conn.send
-    while (task := conn.recv()) is not None:
-        adapter, domain_path, problem_path, timeout = task
-        conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
+    with contextlib.suppress(EOFError, ConnectionError):
+        while (task := conn.recv()) is not None:
+            adapter, domain_path, problem_path, timeout = task
+            conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
+    gc.freeze()  # so that shutdown's collections skip the grounding memo
 
 
-def _stop(process: multiprocessing.Process, conn, group: int | None = None) -> None:
+def _stop(process: subprocess.Popen, conn, group: int | None = None) -> None:
     """Kill a worker and the planner group it last reported, reap the
     worker and close its end of the pipe."""
     process.kill()
     if group is not None:
         _kill_group(group)
-    process.join()
+    process.wait()
     conn.close()

@@ -138,7 +138,7 @@ def sample_problem(
                         if key not in bases:
                             bases[key] = state.draw_base(rng, offsets[key], arg.label)
                         index = bases[key] + arg.offset
-                    terms.append(state.pool.object_names[index])
+                    terms.append(f"{state.pool.prefix}{index + 1}")
                 atom = (tpl.predicate,) + tuple(terms)
                 if sink_init:
                     init.add(atom)

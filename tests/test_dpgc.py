@@ -146,6 +146,19 @@ def test_whole_numbers_are_ints_and_numbers_are_finite(text, where, message):
     assert errors_of(text) == [f"config.{where}: error: {message}"]
 
 
+@pytest.mark.parametrize("path, where", [
+    (["object_pools", 0, "quantity"], "object_pools[0].quantity"),
+    (["variable_goal", 0, "count"], "variable_goal[0].count"),
+], ids=["quantity", "count"])
+def test_counts_are_at_most_ten_thousand(path, where):
+    # checked before any object name is built
+    assert errors_of(_set(path, 10_001)) == [
+        f"config.{where}: error: 10001 is greater than the maximum of 10000"]
+    assert errors_of(_set(path, 10**20)) == [
+        f"config.{where}: error: {10**20} is greater than the maximum of 10000"]
+    parse_config(_set(path, 10_000))
+
+
 def test_shape_errors_are_all_reported():
     bad = copy.deepcopy(BASE)
     del bad["domain"]

@@ -589,10 +589,11 @@ def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_tex
     # the problem still pending ran on a fresh worker
     assert micro_entry.status == "solved"
     assert elapsed < timeout + drivers._KILL_GRACE_S + 10
-    assert multiprocessing.active_children() == []
+    _nothing_outlives_the_pool()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     tmp_path, artic3_domain_text, micro_text
 ):
@@ -613,13 +614,13 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     assert plan_file.read_text() == MICRO_PLAN
     assert batch.is_alive()
     # the worker dies from outside, as under the kernel's out-of-memory killer
-    for worker in multiprocessing.active_children():
-        worker.kill()
+    for worker in _live_children():
+        os.kill(worker, signal.SIGKILL)
     batch.join(timeout=60)
     assert not batch.is_alive()
     solved, killed = results[0]
     assert (solved.status, killed.status) == ("solved", "crashed")
-    assert multiprocessing.active_children() == []
+    _nothing_outlives_the_pool()
 
 
 def test_one_pool_plans_as_one_pool_per_batch(tmp_path, artic3, artic3m,
@@ -661,6 +662,7 @@ def test_one_pool_plans_as_one_pool_per_batch(tmp_path, artic3, artic3m,
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
     tmp_path, artic3_domain_text, micro_text
 ):
@@ -680,18 +682,19 @@ def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
         while not plan_file.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         # both workers die: the one stuck on the pipe and the idle one
-        victims = multiprocessing.active_children()
+        victims = _live_children()
         for worker in victims:
-            worker.kill()
+            os.kill(worker, signal.SIGKILL)
         batch.join(timeout=60)
         assert not batch.is_alive()
         assert len(victims) == 2
         solved, killed = results[0]
         assert (solved.status, killed.status) == ("solved", "crashed")
-        # the idle one is dead and reaped before the next batch
-        for worker in victims:
-            worker.join(timeout=30)
-            assert worker.exitcode is not None
+        # the idle one is dead; the pool reaps it when it next reaches it
+        deadline = time.monotonic() + 30
+        while any(map(_alive, victims)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_alive, victims))
 
         others = []
         for stem in ("b", "c", "d"):
@@ -699,7 +702,7 @@ def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
             others[-1].write_text(micro_text)
         again = plan_batch(internal, domain_path, others, tmp_path / "plans", pool=pool)
         assert [e.status for e in again] == ["solved"] * 3
-        assert len(multiprocessing.active_children()) <= 2
+        assert len(_live_children()) <= 2
     _nothing_outlives_the_pool()
 
 
@@ -728,6 +731,68 @@ def test_closing_one_pool_leaves_another_pools_workers_alone(tmp_path):
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_batch_left_early_stops_its_busy_workers(tmp_path, monkeypatch,
+                                                   artic3_domain_text, micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    stuck = tmp_path / "stuck.pddl"
+    os.mkfifo(stuck)
+
+    def full_disk(path, text):
+        raise OSError("no space left on device")
+
+    # keeping the first plan fails while the other worker is stuck on the pipe
+    monkeypatch.setattr(drivers, "atomic_write", full_disk)
+    start = time.monotonic()
+    with PlannerPool(2) as pool, pytest.raises(OSError, match="no space left"):
+        plan_batch(load_adapters()["internal"], domain_path, [problem_path, stuck],
+                   tmp_path / "plans", timeout=60, pool=pool)
+    assert time.monotonic() - start < 30
+    _nothing_outlives_the_pool()
+
+
+# A command that opens a pool and plans the micro problem, with planforge
+# imported from this checkout.
+_PLAN_MICRO = (
+    "from planforge import assets_dir\n"
+    "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
+    "pool = PlannerPool()\n"
+    "(entry,) = plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+    "                      [assets_dir() / 'artic3_micro.pddl'], 'plans', pool=pool)\n"
+)
+_SCRIPT_ENV = dict(os.environ, PYTHONPATH=str(Path(drivers.__file__).resolve().parents[1]))
+
+
+def test_a_script_without_a_main_guard_can_open_a_pool(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_PLAN_MICRO + "pool.close()\nprint(entry.status)\n")
+    run = subprocess.run([sys.executable, str(script)], env=_SCRIPT_ENV, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout == "solved\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_killed_command_leaves_no_worker_behind(tmp_path):
+    # the command prints its idle worker's pid and dies without closing its pool
+    script = _PLAN_MICRO + (
+        "import os, signal\n"
+        "print(pool._idle[0][0].pid, flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    # files, not pipes, so that waiting for the command does not wait for its worker
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        run = subprocess.run([sys.executable, "-c", script], env=_SCRIPT_ENV, cwd=tmp_path,
+                             stdout=stdout, stderr=stderr, timeout=60)
+    assert run.returncode == -signal.SIGKILL
+    worker = int(out.read_text())
+    deadline = time.monotonic() + 10
+    while _alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _alive(worker)
+    assert "Traceback" not in err.read_text()
+
+
 def _two_domain_config(tmp_path, **overrides) -> dict:
     """Two domains, each a few problems short of its share of the quotas,
     so that both take a top-up round."""
@@ -750,13 +815,13 @@ def _two_domain_config(tmp_path, **overrides) -> dict:
 
 def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
     started = []
-    start = multiprocessing.process.BaseProcess.start
+    start = PlannerPool._start
 
-    def spy(process):
-        started.append(process)
-        return start(process)
+    def spy(pool):
+        started.append(pool)
+        return start(pool)
 
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    monkeypatch.setattr(PlannerPool, "_start", spy)
     summary = run_pipeline(_two_domain_config(tmp_path), tmp_path / "run")
     assert [info["rounds"] > 1 for info in summary["domains"].values()] == [True, True]
     assert len(started) == 2
@@ -838,7 +903,7 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
     assert not sibling_alive
     # the dead worker's planner was killed with it, not left to run unwatched
     assert not victim_alive
-    assert multiprocessing.active_children() == []
+    _nothing_outlives_the_pool()
 
 
 def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
@@ -924,4 +989,4 @@ def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
     # the planner's own timeout answered, so no worker (and no other
     # problem's planner with it) was killed
     assert entry.detail == f"killed after {adapter.timeout}s"
-    assert multiprocessing.active_children() == []
+    _nothing_outlives_the_pool()
