@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 stage failure.  The hidden
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -151,30 +150,18 @@ def cmd_eval(args) -> int:
     from planforge.evaluate import (
         EndpointConfig,
         export_report,
-        parse_entries,
         render_report,
         run_inference,
         score,
     )
+    from planforge.shape import Diagnostic, parse_record, read_split, refuse
 
-    entries = json.loads(Path(args.dataset).read_text())
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{args.dataset}: expected a non-empty array of records")
-    fields = ("instruction", "input", "output")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{args.dataset}: record {i} is not an object")
-        if not all(k in entry for k in fields):
-            raise ValueError(f"{args.dataset}: record {i} is missing a required field")
-        if not all(isinstance(entry[k], str) for k in fields):
-            raise ValueError(f"{args.dataset}: record {i} has a field that is not a string")
-    if args.limit is not None:
-        entries = entries[: args.limit]
+    entries = read_split(args.dataset)
+    if not entries:
+        refuse(args.dataset, [Diagnostic("records", "expected a non-empty array of records")])
+    entries = entries[: args.limit]
     # Parsed before any request is sent, and once: score reuses the pairs.
-    try:
-        tasks = parse_entries(entries)
-    except ValueError as err:
-        raise ValueError(f"{args.dataset}: {err}") from err
+    tasks = [parse_record(args.dataset, i, entry) for i, entry in enumerate(entries)]
     endpoint = EndpointConfig(
         url=args.endpoint,
         temperature=args.temperature,

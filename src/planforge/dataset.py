@@ -21,8 +21,8 @@ from planforge.generate import fingerprint_problem
 from planforge.pddl.model import Domain, Problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
+from planforge.shape import ALPACA_KEYS, parse_record, read_split
 
-ALPACA_KEYS = ("instruction", "input", "output")
 SPLIT_NAMES = ("train", "val", "test")
 
 
@@ -267,9 +267,9 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
 
     The recompute goes through a full parse and canonical re-render of each
     record's ``input`` against its own ``instruction``, so cosmetic
-    differences (whitespace, ordering) cannot hide a leak.  A file that is
-    not an array of records with a string ``instruction`` and ``input``
-    that parse is a DatasetError naming the file and the record.
+    differences (whitespace, ordering) cannot hide a leak.  A file that
+    ``read_split`` refuses, or a record that ``parse_record`` cannot parse,
+    is a DatasetError naming the file and the place.
     """
     dataset_dir = Path(dataset_dir)
     files = sorted(dataset_dir.glob("*.json"))
@@ -279,25 +279,11 @@ def audit_leakage(dataset_dir: str | Path) -> AuditReport:
     seen: dict[str, list[tuple[str, int]]] = {}
     counts: dict[str, int] = {}
     for path in files:
-        try:
-            data = json.loads(path.read_text())
-        except ValueError as err:
-            raise DatasetError(f"{path.name}: {err}") from err
-        if not isinstance(data, list):
-            raise DatasetError(f"{path.name}: expected an array of records")
-        counts[path.name] = len(data)
-        for index, entry in enumerate(data):
-            if not (isinstance(entry, dict) and all(
-                    isinstance(entry.get(key), str) for key in ("instruction", "input"))):
-                raise DatasetError(
-                    f"{path.name}: record {index} needs a string 'instruction' and 'input'")
-            try:
-                domain = parse_domain(entry["instruction"])
-                problem = parse_problem(entry["input"], domain)
-            except ValueError as err:
-                raise DatasetError(f"{path.name}: record {index}: {err}") from err
-            fp = fingerprint_problem(problem)
-            seen.setdefault(fp, []).append((path.name, index))
+        records = read_split(path, DatasetError)
+        counts[path.name] = len(records)
+        for index, record in enumerate(records):
+            _, problem = parse_record(path, index, record, DatasetError)
+            seen.setdefault(fingerprint_problem(problem), []).append((path.name, index))
     collisions = [
         {"fingerprint": fp, "occurrences": places}
         for fp, places in sorted(seen.items())

@@ -17,13 +17,12 @@ an error.  ``parse_config`` raises the structural ones and
 from __future__ import annotations
 
 import json
-import math
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 from planforge.pddl.model import Atom, Domain, is_known_type_in
+from planforge.shape import ABOVE_ZERO, Array, Diagnostic, Number, Object, OneOf, check
 
 _ATOM_RE = re.compile(r"^\(\s*([^\s()]+)((?:\s+[^\s()]+)*)\s*\)$")
 _TAG_RE = re.compile(r"^(?P<pool>[^$]+)\$(?P<label>[^+$]+)(?:\+(?P<offset>\d+))?$")
@@ -33,17 +32,6 @@ class ConfigError(ValueError):
     def __init__(self, diagnostics: list["Diagnostic"]):
         self.diagnostics = diagnostics
         super().__init__("\n".join(str(d) for d in diagnostics))
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """One problem that stops a config from being used."""
-
-    path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -106,79 +94,26 @@ class GeneratorConfig:
     mutex_groups: tuple[MutexGroup, ...] = ()
 
 
-# A kind is an _Object (fields: key -> kind), an _Array of item kinds, "name"
-# (a non-empty string), "usage" (one of _USAGES) or a key of _NUMBERS:
-# (whole, minimum, maximum, minimum excluded).  A whole number is an int, and
-# every number is finite.  Counts are capped so that checking a config, which
-# builds every object name, takes bounded time and memory.
-_Object = namedtuple("_Object", "fields required")
-_Array = namedtuple("_Array", "item min_items", defaults=(0,))
-_USAGES = ["random", "mutex", "sequential"]
-_NUMBERS = {
-    "count": (True, 1, 10_000, False),
-    "probability": (False, 0, 1, False),
-    "weight": (False, 0, math.inf, True),
-}
-_ATOM_TEMPLATE = _Object(
-    {"predicate": "name", "args": _Array("name"), "probability": "probability"},
+# Counts are capped so that checking a config, which builds every object
+# name, takes bounded time and memory.
+_COUNT = Number(True, 1, 10_000)
+_ATOM_TEMPLATE = Object(
+    {"predicate": "name", "args": Array("name"), "probability": Number(False, 0, 1)},
     ("predicate", "args"))
-_PREDICATE_POOL = _Object(
-    {"id": "name", "count": "count", "atoms": _Array(_ATOM_TEMPLATE, 1)}, ("id", "atoms"))
-_CONFIG = _Object({
+_PREDICATE_POOL = Object(
+    {"id": "name", "count": _COUNT, "atoms": Array(_ATOM_TEMPLATE, 1)}, ("id", "atoms"))
+_CONFIG = Object({
     "domain": "name",
-    "object_pools": _Array(_Object(
-        {"id": "name", "type": "name", "prefix": "name", "quantity": "count",
-         "usage": "usage"}, ("id", "type", "quantity")), 1),
-    "constant_init": _Array("name"),
-    "variable_init": _Array(_PREDICATE_POOL),
-    "variable_goal": _Array(_PREDICATE_POOL),
-    "mutex_groups": _Array(_Object(
-        {"id": "name", "members": _Array("name", 2), "weights": _Array("weight", 2)},
+    "object_pools": Array(Object(
+        {"id": "name", "type": "name", "prefix": "name", "quantity": _COUNT,
+         "usage": OneOf(("random", "mutex", "sequential"))}, ("id", "type", "quantity")), 1),
+    "constant_init": Array("name"),
+    "variable_init": Array(_PREDICATE_POOL),
+    "variable_goal": Array(_PREDICATE_POOL),
+    "mutex_groups": Array(Object(
+        {"id": "name", "members": Array("name", 2), "weights": Array(ABOVE_ZERO, 2)},
         ("id", "members", "weights"))),
 }, ("domain", "object_pools"))
-
-
-def _check_shape(value, kind, path: str, errors: list[Diagnostic]) -> None:
-    """Append a diagnostic for each place where ``value`` is not of ``kind``."""
-    def error(message: str) -> None:
-        errors.append(Diagnostic(path, message))
-
-    if isinstance(kind, _Object):
-        if not isinstance(value, dict):
-            return error(f"{value!r} is not of type 'object'")
-        for key in kind.required:
-            if key not in value:
-                error(f"'{key}' is a required property")
-        for key in sorted(value.keys() - kind.fields.keys()):
-            error(f"Additional properties are not allowed ({key!r} was unexpected)")
-        for key, sub in kind.fields.items():
-            if key in value:
-                _check_shape(value[key], sub, f"{path}.{key}", errors)
-    elif isinstance(kind, _Array):
-        if not isinstance(value, list):
-            return error(f"{value!r} is not of type 'array'")
-        if len(value) < kind.min_items:
-            error(f"{value!r} is too short")
-        for i, item in enumerate(value):
-            _check_shape(item, kind.item, f"{path}[{i}]", errors)
-    elif kind == "name":
-        if not isinstance(value, str):
-            error(f"{value!r} is not of type 'string'")
-        elif not value:
-            error("'' should be non-empty")
-    elif kind == "usage":
-        if value not in _USAGES:
-            error(f"{value!r} is not one of {_USAGES!r}")
-    else:
-        whole, low, high, low_excluded = _NUMBERS[kind]
-        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
-            error(f"{value!r} is not of type '{'integer' if whole else 'number'}'")
-        elif isinstance(value, float) and not math.isfinite(value):
-            error(f"{value!r} is not a finite number")
-        elif value < low or (low_excluded and value == low):
-            error(f"{value!r} is less than {'or equal to ' * low_excluded}the minimum of {low}")
-        elif value > high:
-            error(f"{value!r} is greater than the maximum of {high}")
 
 
 def parse_ground_atom(text: str) -> Atom:
@@ -227,8 +162,7 @@ def parse_config(text: str) -> GeneratorConfig:
     except json.JSONDecodeError as err:
         raise ConfigError([Diagnostic("config", f"invalid JSON: {err}")]) from err
 
-    errors: list[Diagnostic] = []
-    _check_shape(data, _CONFIG, "config", errors)
+    errors = list(check(data, _CONFIG, "config"))
     if errors:
         raise ConfigError(errors)
 

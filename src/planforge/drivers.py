@@ -20,8 +20,6 @@ import contextlib
 import dataclasses
 import functools
 import gc
-import json
-import math
 import os
 import re
 import signal
@@ -44,6 +42,7 @@ from planforge.pddl.ground import (
 from planforge.pddl.model import EQ, Domain, GroundAction, Literal, Problem, State
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanStep, parse_plan, render_plan, validate
+from planforge.shape import ABOVE_ZERO, Array, Diagnostic, Object, OneOf, load, refuse
 
 DIALECTS = ("val_native", "probe")
 OUTPUT_MODES = ("file", "stdout")
@@ -119,50 +118,28 @@ class SolveResult:
     detail: str = ""
 
 
+# The shape of an adapter registry.
+_REGISTRY = Object({"adapters": Array(Object({
+    "name": "string", "executable": "string", "args": Array("string"),
+    "output": OneOf(OUTPUT_MODES), "dialect": OneOf(DIALECTS), "timeout": ABOVE_ZERO,
+}, ("name", "executable", "args"), open=True))}, ("adapters",), open=True)
+
+
 def load_adapters(path: str | Path | None = None) -> dict[str, PlannerAdapter]:
     """Read an adapter registry; defaults to the bundled one."""
     path = Path(path) if path else assets_dir() / "adapters.json"
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise AdapterError(f"cannot read adapter registry {path}: {err}") from err
-    entries = data.get("adapters") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise AdapterError(f"{path}: expected a top-level 'adapters' array")
+    data = load(path, _REGISTRY, "registry", AdapterError)
     out: dict[str, PlannerAdapter] = {}
-    for i, raw in enumerate(entries):
-        where = f"{path}: adapters[{i}]"
-        if not isinstance(raw, dict):
-            raise AdapterError(f"{where}: expected an object")
-        for key in ("name", "executable", "args"):
-            if key not in raw:
-                raise AdapterError(f"{where}: missing '{key}'")
-        for key in ("name", "executable"):
-            if not isinstance(raw[key], str):
-                raise AdapterError(f"{where}: '{key}' must be a string")
-        if not isinstance(raw["args"], list) or not all(isinstance(a, str) for a in raw["args"]):
-            raise AdapterError(f"{where}: 'args' must be an array of strings")
-        timeout = raw.get("timeout", 60.0)
-        is_number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-        if not (is_number and timeout < math.inf):
-            raise AdapterError(f"{where}: timeout must be a finite number")
-        adapter = PlannerAdapter(
-            name=raw["name"],
-            executable=raw["executable"],
-            args=tuple(raw["args"]),
-            output=raw.get("output", "file"),
-            dialect=raw.get("dialect", "val_native"),
-            timeout=float(timeout),
-        )
-        if adapter.output not in OUTPUT_MODES:
-            raise AdapterError(f"{where}: unknown output mode '{adapter.output}'")
-        if adapter.dialect not in DIALECTS:
-            raise AdapterError(f"{where}: unknown dialect '{adapter.dialect}'")
-        if adapter.name in out:
-            raise AdapterError(f"{where}: duplicate adapter '{adapter.name}'")
-        if adapter.timeout <= 0:
-            raise AdapterError(f"{where}: timeout must be positive")
-        out[adapter.name] = adapter
+    duplicates = []
+    for i, raw in enumerate(data["adapters"]):
+        if raw["name"] in out:
+            duplicates.append(Diagnostic(f"registry.adapters[{i}].name",
+                                         f"duplicate adapter {raw['name']!r}"))
+        out[raw["name"]] = PlannerAdapter(
+            name=raw["name"], executable=raw["executable"], args=tuple(raw["args"]),
+            output=raw.get("output", "file"), dialect=raw.get("dialect", "val_native"),
+            timeout=float(raw.get("timeout", 60.0)))
+    refuse(path, duplicates, AdapterError)
     return out
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from planforge import atomic_write
 from planforge.pddl.model import Domain, Problem
-from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanParseError, parse_plan, validate
 
 ALPACA_PROMPT = (
@@ -193,25 +192,11 @@ def _group(rows: list[dict]) -> dict:
     }
 
 
-def parse_entries(entries: list[dict]) -> list[tuple[Domain, Problem]]:
-    """Each dataset entry's domain and problem, parsed from its
-    ``instruction`` and ``input``; a ValueError names the first entry that
-    does not parse."""
-    tasks = []
-    for index, entry in enumerate(entries):
-        try:
-            domain = parse_domain(entry["instruction"])
-            tasks.append((domain, parse_problem(entry["input"], domain)))
-        except ValueError as err:
-            raise ValueError(f"record {index}: {err}") from err
-    return tasks
-
-
 def score(
     tasks: list[tuple[Domain, Problem]], inferences: list[InferenceRecord]
 ) -> dict:
     """Validate each returned plan against its own domain and problem, as
-    ``parse_entries`` gives them.
+    ``shape.parse_record`` gives them.
 
     Returns the ``metrics.json`` document: ``{"mixed": group, "per_domain":
     {name: group}}`` with the domains in name order (see ``_group``).

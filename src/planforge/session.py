@@ -21,7 +21,6 @@ to continue silently when the inputs changed.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +38,7 @@ from planforge.dpgc import load_config
 from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_batch
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
+from planforge.shape import ABOVE_ZERO, ONE_OR_MORE, WHOLE, Array, Map, Maybe, Object, load
 
 
 # Top-up rounds per domain before run_pipeline gives up on a shortfall.
@@ -309,50 +309,28 @@ def stage_assemble(
     return manifest
 
 
-def _is_whole(value) -> bool:
-    """Whether a config value is a whole number; JSON true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# The shape of a pipeline config.  Quota names, positivity and even division
+# are left to ``per_domain_quotas``, the one quota check.
+_PIPELINE = Object({
+    "seed": WHOLE,
+    "domains": Array(Object({"domain": "string", "dpgc": "string", "count": ONE_OR_MORE},
+                            ("domain", "dpgc", "count"), open=True), 1),
+    "quotas": Map(WHOLE, 1),
+    "workers": ONE_OR_MORE,
+    "timeout": Maybe(ABOVE_ZERO),
+    "adapter": "string",
+    "adapters_file": "string",
+}, ("seed", "domains", "quotas"), open=True)
 
 
 def load_pipeline_config(path: str | Path) -> dict:
-    """Read and check a pipeline config document."""
+    """Read and check a pipeline config document; its paths resolve against
+    the config file's directory."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise StageError(f"cannot read pipeline config {path}: {err}") from err
-    if not isinstance(data, dict):
-        raise StageError(f"{path}: pipeline config must be a JSON object")
-    if "seed" not in data:
-        raise StageError(f"{path}: pipeline config must set 'seed'")
-    domains = data.get("domains")
-    if not isinstance(domains, list) or not domains:
-        raise StageError(f"{path}: pipeline config needs a non-empty 'domains' array")
-    for i, entry in enumerate(domains):
-        if not isinstance(entry, dict):
-            raise StageError(f"{path}: domains[{i}] must be an object")
-        for key in ("domain", "dpgc", "count"):
-            if key not in entry:
-                raise StageError(f"{path}: domains[{i}] is missing '{key}'")
-        if not _is_whole(entry["count"]) or entry["count"] < 1:
-            raise StageError(
-                f"{path}: domains[{i}].count must be a whole number of one or more"
-            )
-    quotas = data.get("quotas")
-    if not isinstance(quotas, dict) or not quotas:
-        raise StageError(f"{path}: pipeline config needs a non-empty 'quotas' object")
-    for name, quota in quotas.items():
-        if not _is_whole(quota):
-            raise StageError(f"{path}: quota '{name}' must be a whole number")
-    workers = data.get("workers", 1)
-    if not _is_whole(workers) or workers < 1:
-        raise StageError(f"{path}: 'workers' must be a whole number of one or more")
-    timeout = data.get("timeout")
-    if timeout is not None and not (isinstance(timeout, (int, float)) and 0 < timeout < math.inf):
-        raise StageError(f"{path}: 'timeout' must be a finite number of seconds above zero")
+    data = load(path, _PIPELINE, "config", StageError)
     data.setdefault("adapter", "internal")
     base = path.resolve().parent
-    for entry in domains:
+    for entry in data["domains"]:
         entry["domain"] = str((base / entry["domain"]).resolve())
         entry["dpgc"] = str((base / entry["dpgc"]).resolve())
     if "adapters_file" in data:

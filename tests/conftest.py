@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from planforge import assets_dir
 from planforge.dpgc import load_config
 from planforge.pddl.parser import parse_domain, parse_problem
+from planforge.shape import parse_record
 
 
 @pytest.fixture(scope="session")
@@ -107,6 +109,21 @@ EDGES_PROBLEM = """
          (on h1 p1) (on h2 p2) (on b1 p3))
   (:goal {goal}))
 """
+
+
+def tasks_of(entries: list[dict]) -> list:
+    """Each split record's domain and problem, as ``eval`` hands them to
+    ``score``."""
+    return [parse_record("split.json", i, entry) for i, entry in enumerate(entries)]
+
+
+@pytest.fixture
+def src_on_pythonpath(monkeypatch):
+    """Puts this checkout's ``src`` first on PYTHONPATH, so that a fresh
+    ``python -m planforge.cli`` child imports the planforge under test."""
+    src = str(assets_dir().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.fixture(scope="session")

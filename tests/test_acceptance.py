@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import MICRO_PLAN, make_stub_adapter
+from conftest import MICRO_PLAN, make_stub_adapter, tasks_of
 from oracle import (
     sim_apply,
     sim_applicable_sequences,
@@ -31,7 +31,7 @@ from planforge.cli import main
 from planforge.dataset import assemble, audit_leakage, build_records
 from planforge.dpgc import load_config, parse_config
 from planforge.drivers import reference_plan, solve
-from planforge.evaluate import InferenceRecord, parse_entries, render_report, score
+from planforge.evaluate import InferenceRecord, render_report, score
 from planforge.generate import fingerprint_problem, generate_batch, sample_problem
 from planforge.pddl.ground import PreconditionError, apply_action, ground_action_for
 from planforge.pddl.parser import parse_domain, parse_problem
@@ -320,6 +320,7 @@ def test_criterion_06_quotas_disjointness_and_revalidation(
           f"{revalidated}/1000 outputs revalidate, two-domain val 500/500")
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_criterion_07_planner_driver_robustness(tmp_path, artic3, micro):
     # one stub planner per failure mode
     ok = make_stub_adapter(
@@ -431,7 +432,7 @@ def test_criterion_08_metrics_match_hand_computation(
         InferenceRecord(i, "ok", latency, output)
         for i, (output, latency) in enumerate(zip(outputs, latencies))
     ]
-    metrics = score(parse_entries(entries), inferences)
+    metrics = score(tasks_of(entries), inferences)
     mixed = metrics["mixed"]
 
     # by hand: 3 of 4 valid; step lengths 4, 4, 8; times 1..4

@@ -252,10 +252,13 @@ def test_audit_exits_2_on_a_malformed_split_file(tmp_path, capsys):
     assert main(["audit", "--dataset", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: train.json: expected an array of records\n"
-    (tmp_path / "train.json").write_text(json.dumps([{"instruction": "x"}]))
+    split = tmp_path / "train.json"
+    assert captured.err == f"error: {split}: records: error: {{}} is not of type 'array'\n"
+    split.write_text(json.dumps([{"instruction": "x"}]))
     assert main(["audit", "--dataset", str(tmp_path)]) == 2
-    assert "train.json: record 0 needs a string" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {split}: records[0]: error: 'input' is a required property\n"
+        f"{split}: records[0]: error: 'output' is a required property\n")
 
 
 def test_assemble_rejects_all_zero_quotas(cli_session, tmp_path, capsys):
@@ -405,16 +408,21 @@ def test_eval_rejects_malformed_datasets(tmp_path, capsys, stub_endpoint):
         "--out", str(tmp_path / "r"),
     ])
     assert code == 2
-    assert "expected a non-empty array" in capsys.readouterr().err
+    assert f"{empty}: records: error: expected a non-empty array" in capsys.readouterr().err
 
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps([{"instruction": "x", "input": ""}]))
-    code = main([
-        "eval", "--dataset", str(partial), "--endpoint", "http://localhost:1/x",
-        "--out", str(tmp_path / "r"),
-    ])
-    assert code == 2
-    assert "record 0 is missing a required field" in capsys.readouterr().err
+    for text, message in (
+        ('[{"instruction": "x", "input": ""}]',
+         "partial.json: records[0]: error: 'output' is a required property"),
+        ("{\n", "partial.json: records: error: invalid JSON: Expecting property name"),
+    ):
+        partial = tmp_path / "partial.json"
+        partial.write_text(text)
+        code = main([
+            "eval", "--dataset", str(partial), "--endpoint", "http://localhost:1/x",
+            "--out", str(tmp_path / "r"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     # checked before any request: the stub would answer every record
     posted = []
@@ -423,13 +431,14 @@ def test_eval_rejects_malformed_datasets(tmp_path, capsys, stub_endpoint):
     pddl = {"instruction": (assets_dir() / "artic3.pddl").read_text(),
             "input": (assets_dir() / "artic3_micro.pddl").read_text(), "output": ""}
     for records, message in (
-        ([good, 5], "record 1 is not an object"),
-        ([good, ["x", "y", "z"]], "record 1 is not an object"),
-        ([good, dict(good, instruction=5)], "record 1 has a field that is not a string"),
-        ([dict(good, output=None)], "record 0 has a field that is not a string"),
+        ([good, 5], "records[1]: error: 5 is not of type 'object'"),
+        ([good, ["x", "y", "z"]], "records[1]: error: ['x', 'y', 'z'] is not of type 'object'"),
+        ([good, dict(good, instruction=5)],
+         "records[1].instruction: error: 5 is not of type 'string'"),
+        ([dict(good, output=None)], "records[0].output: error: None is not of type 'string'"),
         # every field a string, but not PDDL
-        ([pddl, dict(pddl, instruction="not pddl")], "record 1: line 1, col 5"),
-        ([pddl, pddl, dict(pddl, input="(define")], "record 2: line 1, col 1"),
+        ([pddl, dict(pddl, instruction="not pddl")], "records[1]: error: line 1, col 5"),
+        ([pddl, pddl, dict(pddl, input="(define")], "records[2]: error: line 1, col 1"),
     ):
         dataset = tmp_path / "typed.json"
         dataset.write_text(json.dumps(records))
@@ -438,7 +447,7 @@ def test_eval_rejects_malformed_datasets(tmp_path, capsys, stub_endpoint):
             "--out", str(tmp_path / "r"),
         ])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"{dataset}: {message}" in capsys.readouterr().err
     assert posted == []
     assert not (tmp_path / "r").exists()
 

@@ -277,13 +277,27 @@ def test_audit_flags_duplicates_within_one_file(tmp_path, corpus):
     ]
 
 
+# The ids keep these cases' established test names; they word each rule
+# rather than quote the message.
 @pytest.mark.parametrize("text, message", [
-    ("{}", "train.json: expected an array of records"),
-    ("[{", "train.json: Expecting property name"),
-    ('[{"instruction": "(define (domain d))"}]', "train.json: record 0 needs a string"),
-    ('["record"]', "train.json: record 0 needs a string"),
-    ('[{"instruction": 1, "input": ""}]', "train.json: record 0 needs a string"),
-    ('[{"instruction": "(define", "input": ""}]', "train.json: record 0: line 1"),
+    pytest.param("{}", "train.json: records: error: {} is not of type 'array'",
+                 id="{}-train.json: expected an array of records"),
+    pytest.param("[{", "train.json: records: error: invalid JSON: Expecting property name",
+                 id="[{-train.json: Expecting property name"),
+    pytest.param('[{"instruction": "(define (domain d))"}]',
+                 "train.json: records[0]: error: 'input' is a required property",
+                 id='[{"instruction": "(define (domain d))"}]-train.json: record 0 needs a string'),
+    pytest.param('["record"]', "train.json: records[0]: error: 'record' is not of type 'object'",
+                 id='["record"]-train.json: record 0 needs a string'),
+    pytest.param('[{"instruction": 1, "input": ""}]',
+                 "train.json: records[0].instruction: error: 1 is not of type 'string'",
+                 id='[{"instruction": 1, "input": ""}]-train.json: record 0 needs a string'),
+    pytest.param('[{"instruction": "(define", "input": "", "output": ""}]',
+                 "train.json: records[0]: error: line 1",
+                 id='[{"instruction": "(define", "input": ""}]-train.json: record 0: line 1'),
+    pytest.param('[{"instruction": "(define (domain d))", "input": ""}]',
+                 "train.json: records[0]: error: 'output' is a required property",
+                 id="no output"),
 ])
 def test_audit_refuses_malformed_split_files(tmp_path, text, message):
     (tmp_path / "train.json").write_text(text)

@@ -60,48 +60,73 @@ def test_bundled_registry_loads():
 
 
 def test_load_adapters_rejections(tmp_path):
-    def write(payload):
-        path = tmp_path / "adapters.json"
+    path = tmp_path / "adapters.json"
+
+    def refused(payload, message):
         path.write_text(json.dumps(payload))
-        return path
+        with pytest.raises(AdapterError, match=re.escape(f"{path}: registry{message}")):
+            load_adapters(path)
 
-    with pytest.raises(AdapterError, match="top-level 'adapters' array"):
-        load_adapters(write({"planners": []}))
-    with pytest.raises(AdapterError, match="top-level 'adapters' array"):
-        load_adapters(write([{"adapters": []}]))
-    with pytest.raises(AdapterError, match=re.escape("adapters[0]: expected an object")):
-        load_adapters(write({"adapters": ["internal"]}))
-    with pytest.raises(AdapterError, match="missing 'executable'"):
-        load_adapters(write({"adapters": [{"name": "x", "args": []}]}))
+    refused({"planners": []}, ": error: 'adapters' is a required property")
+    refused([{"adapters": []}], ": error: [{'adapters': []}] is not of type 'object'")
+    refused({"adapters": ["internal"]},
+            ".adapters[0]: error: 'internal' is not of type 'object'")
+    refused({"adapters": [{"name": "x", "args": []}]},
+            ".adapters[0]: error: 'executable' is a required property")
     entry = {"name": "x", "executable": "x", "args": []}
-    with pytest.raises(AdapterError, match="unknown output mode 'pipe'"):
-        load_adapters(write({"adapters": [dict(entry, output="pipe")]}))
-    with pytest.raises(AdapterError, match="unknown dialect 'sexp'"):
-        load_adapters(write({"adapters": [dict(entry, dialect="sexp")]}))
-    with pytest.raises(AdapterError, match="duplicate adapter 'x'"):
-        load_adapters(write({"adapters": [entry, entry]}))
-    with pytest.raises(AdapterError, match="timeout must be positive"):
-        load_adapters(write({"adapters": [dict(entry, timeout=0)]}))
-    with pytest.raises(AdapterError, match="cannot read adapter registry"):
-        load_adapters(tmp_path / "missing.json")
+    refused({"adapters": [dict(entry, output="pipe")]},
+            ".adapters[0].output: error: 'pipe' is not one of ['file', 'stdout']")
+    refused({"adapters": [dict(entry, dialect="sexp")]},
+            ".adapters[0].dialect: error: 'sexp' is not one of ['val_native', 'probe']")
+    refused({"adapters": [entry, entry]}, ".adapters[1].name: error: duplicate adapter 'x'")
+    refused({"adapters": [dict(entry, timeout=0)]},
+            ".adapters[0].timeout: error: 0 is less than or equal to the minimum of 0")
+    # every bad place at once, and other keys pass
+    path.write_text(json.dumps({"note": 1, "adapters": [
+        dict(entry, note=2, name=1, timeout=True), dict(entry, output="pipe")]}))
+    with pytest.raises(AdapterError) as info:
+        load_adapters(path)
+    assert str(info.value).splitlines() == [
+        f"{path}: registry.adapters[0].name: error: 1 is not of type 'string'",
+        f"{path}: registry.adapters[0].timeout: error: True is not of type 'number'",
+        f"{path}: registry.adapters[1].output: error: 'pipe' is not one of ['file', 'stdout']",
+    ]
+    missing = tmp_path / "missing.json"
+    with pytest.raises(AdapterError,
+                       match=re.escape(f"{missing}: registry: error: cannot read: No such file")):
+        load_adapters(missing)
 
 
+# The ids keep these cases' established test names; they word each rule
+# rather than quote the message.
 @pytest.mark.parametrize("edit, message", [
-    ({"args": "abc"}, "'args' must be an array of strings"),
-    ({"args": ["-d", 3]}, "'args' must be an array of strings"),
-    ({"name": 7}, "'name' must be a string"),
-    ({"executable": ["planner"]}, "'executable' must be a string"),
-    ({"timeout": float("nan")}, "timeout must be a finite number"),
-    ({"timeout": float("inf")}, "timeout must be a finite number"),
-    ({"timeout": True}, "timeout must be a finite number"),
-    ({"timeout": "60"}, "timeout must be a finite number"),
-    ({"timeout": -1}, "timeout must be positive"),
+    pytest.param({"args": "abc"}, ".args: error: 'abc' is not of type 'array'",
+                 id="edit0-'args' must be an array of strings"),
+    pytest.param({"args": ["-d", 3]}, ".args[1]: error: 3 is not of type 'string'",
+                 id="edit1-'args' must be an array of strings"),
+    pytest.param({"name": 7}, ".name: error: 7 is not of type 'string'",
+                 id="edit2-'name' must be a string"),
+    pytest.param({"executable": ["planner"]},
+                 ".executable: error: ['planner'] is not of type 'string'",
+                 id="edit3-'executable' must be a string"),
+    pytest.param({"timeout": float("nan")}, ".timeout: error: nan is not a finite number",
+                 id="edit4-timeout must be a finite number"),
+    pytest.param({"timeout": float("inf")}, ".timeout: error: inf is not a finite number",
+                 id="edit5-timeout must be a finite number"),
+    pytest.param({"timeout": True}, ".timeout: error: True is not of type 'number'",
+                 id="edit6-timeout must be a finite number"),
+    pytest.param({"timeout": "60"}, ".timeout: error: '60' is not of type 'number'",
+                 id="edit7-timeout must be a finite number"),
+    pytest.param({"timeout": -1},
+                 ".timeout: error: -1 is less than or equal to the minimum of 0",
+                 id="edit8-timeout must be positive"),    pytest.param({"timeout": 10**400}, f".timeout: error: {10**400} is not a finite number",
+                 id="timeout too large for a float"),
 ])
 def test_load_adapters_refuses_ill_typed_fields(tmp_path, edit, message):
     path = tmp_path / "adapters.json"
     good = {"name": "x", "executable": "x", "args": []}
     path.write_text(json.dumps({"adapters": [good, {**good, "name": "y", **edit}]}))
-    with pytest.raises(AdapterError, match=re.escape(f"adapters[1]: {message}")):
+    with pytest.raises(AdapterError, match=re.escape(f"registry.adapters[1]{message}")):
         load_adapters(path)
 
 
@@ -291,6 +316,7 @@ def test_only_the_bundled_command_runs_in_process():
     assert not runs_in_process(load_adapters()["probe"])
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_in_process_statuses_match_the_subprocess_protocol(
     tmp_path, artic3_domain_text, micro_text, monkeypatch
 ):
@@ -547,6 +573,7 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
     assert [e.plan_text for e in seq] == [e.plan_text for e in par]
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domain_text,
                                                   artic3_config):
     root = tmp_path / "s"

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import MICRO_PLAN
+from conftest import MICRO_PLAN, tasks_of
 from oracle import sim_mean, sim_median, sim_pstdev
 from planforge.evaluate import (
     ALPACA_PROMPT,
@@ -15,7 +15,6 @@ from planforge.evaluate import (
     check_reachable,
     export_report,
     extract_completion,
-    parse_entries,
     render_report,
     run_inference,
     salvage_plan,
@@ -214,7 +213,7 @@ def build_metrics(artic3_domain_text, micro_text, outputs, latencies=None):
             records.append(InferenceRecord(i, "error", latency, "", "boom"))
         else:
             records.append(InferenceRecord(i, "ok", latency, output))
-    return score(parse_entries(entries), records)
+    return score(tasks_of(entries), records)
 
 
 def test_score_classifies_failures(artic3_domain_text, micro_text):
@@ -285,7 +284,7 @@ def test_score_stats_match_hand_computation(artic3_domain_text, micro_text):
 def test_score_requires_aligned_inputs(artic3_domain_text, micro_text):
     entries = [micro_entry(artic3_domain_text, micro_text)]
     with pytest.raises(ValueError, match="1 entries but 2"):
-        score(parse_entries(entries), [InferenceRecord(0, "ok", 0.0, ""),
+        score(tasks_of(entries), [InferenceRecord(0, "ok", 0.0, ""),
                                        InferenceRecord(1, "ok", 0.0, "")])
 
 
@@ -343,7 +342,7 @@ def test_report_layout_two_domains(artic3_domain_text, micro_text, artic3m,
         InferenceRecord(0, "ok", 0.5, MICRO_PLAN),
         InferenceRecord(1, "ok", 0.7, render_plan(plan)),
     ]
-    report = render_report(score(parse_entries(entries), records))
+    report = render_report(score(tasks_of(entries), records))
     lines = report.splitlines()
     labels = [l.split()[0] for l in lines if l and l[0] not in " \t"]
     # per-domain rows follow the mixed row in both tables

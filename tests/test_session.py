@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import MICRO_PLAN
+from conftest import MICRO_PLAN, tasks_of
 from planforge import assets_dir
 from planforge.dataset import build_records
 from planforge.dpgc import load_config
 from planforge.drivers import load_adapters
-from planforge.evaluate import InferenceRecord, export_report, parse_entries, score
+from planforge.evaluate import InferenceRecord, export_report, score
 from planforge.generate import generate_batch
 from planforge.pddl.parser import parse_domain
 from planforge.session import (
@@ -103,7 +104,7 @@ def _export_report(out_dir):
     entry = {"instruction": ARTIC3_DOMAIN.read_text(),
              "input": (assets_dir() / "artic3_micro.pddl").read_text(),
              "output": MICRO_PLAN}
-    metrics = score(parse_entries([entry]), [InferenceRecord(0, "ok", 0.1, MICRO_PLAN)])
+    metrics = score(tasks_of([entry]), [InferenceRecord(0, "ok", 0.1, MICRO_PLAN)])
     export_report(metrics, out_dir / "metrics.json", out_dir / "metrics.txt")
 
 
@@ -283,26 +284,41 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
     # relative entries resolve against the config file's directory
     assert config["domains"][0]["domain"] == str(tmp_path / "artic3.pddl")
 
+    domain = {"domain": "x", "dpgc": "y"}
     for broken, match in (
-        ({"seed": None}, "must set 'seed'"),
-        ({"domains": []}, "non-empty 'domains'"),
-        ({"domains": [{"domain": "x"}]}, "missing 'dpgc'"),
-        ({"quotas": {}}, "non-empty 'quotas'"),
-        ({"workers": 0}, "'workers' must be a whole number of one or more"),
-        ({"workers": True}, "'workers' must be a whole number of one or more"),
-        ({"domains": [{"domain": "x", "dpgc": "y", "count": -3}]},
-         r"domains\[0\]\.count must be a whole number of one or more"),
-        ({"domains": [{"domain": "x", "dpgc": "y", "count": 0}]},
-         r"domains\[0\]\.count must be a whole number"),
-        ({"domains": [{"domain": "x", "dpgc": "y", "count": 2.7}]},
-         r"domains\[0\]\.count must be a whole number"),
-        ({"domains": [{"domain": "x", "dpgc": "y", "count": True}]},
-         r"domains\[0\]\.count must be a whole number"),
-        ({"quotas": {"train": 2.5}}, "quota 'train' must be a whole number"),
-        ({"quotas": {"train": True}}, "quota 'train' must be a whole number"),
-        ({"timeout": -5}, "'timeout' must be a finite number of seconds above zero"),
-        ({"domains": [1]}, r"domains\[0\] must be an object"),
-        (5, "pipeline config must be a JSON object"),
+        ({"seed": None}, "config: error: 'seed' is a required property"),
+        ({"domains": []}, "config.domains: error: [] is too short"),
+        ({"domains": [{"domain": "x"}]},
+         "config.domains[0]: error: 'dpgc' is a required property"),
+        ({"quotas": {}}, "config.quotas: error: {} is too short"),
+        ({"workers": 0}, "config.workers: error: 0 is less than the minimum of 1"),
+        ({"workers": True}, "config.workers: error: True is not of type 'integer'"),
+        ({"domains": [dict(domain, count=-3)]},
+         "config.domains[0].count: error: -3 is less than the minimum of 1"),
+        ({"domains": [dict(domain, count=0)]},
+         "config.domains[0].count: error: 0 is less than the minimum of 1"),
+        ({"domains": [dict(domain, count=2.7)]},
+         "config.domains[0].count: error: 2.7 is not of type 'integer'"),
+        ({"domains": [dict(domain, count=True)]},
+         "config.domains[0].count: error: True is not of type 'integer'"),
+        ({"quotas": {"train": 2.5}}, "config.quotas.train: error: 2.5 is not of type 'integer'"),
+        ({"quotas": {"train": True}}, "config.quotas.train: error: True is not of type 'integer'"),
+        ({"timeout": -5}, "config.timeout: error: -5 is less than or equal to the minimum of 0"),
+        ({"timeout": True}, "config.timeout: error: True is not of type 'number'"),
+        ({"timeout": 10**400}, f"config.timeout: error: {10**400} is not a finite number"),
+        ({"domains": [1]}, "config.domains[0]: error: 1 is not of type 'object'"),
+        (5, "config: error: 5 is not of type 'object'"),
+        # a path that is not a string, and a seed that is not a whole number
+        ({"domains": [dict(domain, domain=5, count=1)]},
+         "config.domains[0].domain: error: 5 is not of type 'string'"),
+        ({"domains": [dict(domain, dpgc=None, count=1)]},
+         "config.domains[0].dpgc: error: None is not of type 'string'"),
+        ({"adapters_file": ["a.json"]},
+         "config.adapters_file: error: ['a.json'] is not of type 'string'"),
+        ({"seed": [7]}, "config.seed: error: [7] is not of type 'integer'"),
+        ({"seed": {"a": 1}}, "config.seed: error: {'a': 1} is not of type 'integer'"),
+        ({"seed": "7"}, "config.seed: error: '7' is not of type 'integer'"),
+        ({"seed": 7.0}, "config.seed: error: 7.0 is not of type 'integer'"),
     ):
         data = json.loads(write_pipeline_config(tmp_path).read_text())
         if isinstance(broken, dict):
@@ -313,11 +329,26 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
             del data["seed"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
-        with pytest.raises(StageError, match=match):
+        with pytest.raises(StageError, match=re.escape(f"{bad}: {match}")):
             load_pipeline_config(bad)
 
-    with pytest.raises(StageError, match="cannot read pipeline config"):
-        load_pipeline_config(tmp_path / "absent.json")
+    # every bad place at once; a null timeout and other keys pass
+    bad.write_text(json.dumps({"seed": True, "domains": [{"count": 0, "note": 1}],
+                               "quotas": {"train": 1}, "timeout": None, "note": 2}))
+    with pytest.raises(StageError) as info:
+        load_pipeline_config(bad)
+    assert [line.removeprefix(f"{bad}: ") for line in str(info.value).splitlines()] == [
+        "config.seed: error: True is not of type 'integer'",
+        "config.domains[0]: error: 'domain' is a required property",
+        "config.domains[0]: error: 'dpgc' is a required property",
+        "config.domains[0].count: error: 0 is less than the minimum of 1",
+    ]
+    assert load_pipeline_config(
+        write_pipeline_config(tmp_path, timeout=None, note=2))["timeout"] is None
+
+    absent = tmp_path / "absent.json"
+    with pytest.raises(StageError, match=re.escape(f"{absent}: config: error: cannot read")):
+        load_pipeline_config(absent)
 
 
 def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
