@@ -290,7 +290,15 @@ def parse_config(text: str) -> GeneratorConfig:
 
 
 def load_config(path: str | Path) -> GeneratorConfig:
-    return parse_config(Path(path).read_text())
+    """The config in the file ``path``.  A ConfigError names the file on
+    each line, as ``<file>: config.<place>: error: <message>``."""
+    try:
+        return parse_config(Path(path).read_text())
+    except OSError as err:
+        diagnostics = [Diagnostic("config", f"cannot read: {err.strerror or err}")]
+    except ConfigError as err:
+        diagnostics = err.diagnostics
+    raise ConfigError([Diagnostic(f"{path}: {d.path}", d.message) for d in diagnostics])
 
 
 def validate_against_domain(config: GeneratorConfig, domain: Domain) -> list[Diagnostic]:

@@ -43,6 +43,11 @@ ACCEPTED_REQUIREMENTS = (
 
 _TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
+# The deepest group the reader opens.  The accepted fragment needs about ten
+# levels; the reader and the parser recurse once per level, so without a
+# limit deep input would end in a RecursionError without a position.
+_MAX_DEPTH = 64
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -88,11 +93,15 @@ def _read_tree(tokens: list[Token]) -> Node:
         raise ParseError("empty input")
     pos = 0
 
-    def read() -> Node:
+    def read(depth: int) -> Node:
         nonlocal pos
         tok = tokens[pos]
         pos += 1
         if tok.text == "(":
+            if depth == _MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested more than {_MAX_DEPTH} deep", tok.line, tok.col
+                )
             group = SExpr(tok.line, tok.col)
             while True:
                 if pos >= len(tokens):
@@ -100,12 +109,12 @@ def _read_tree(tokens: list[Token]) -> Node:
                 if tokens[pos].text == ")":
                     pos += 1
                     return group
-                group.append(read())
+                group.append(read(depth + 1))
         if tok.text == ")":
             raise ParseError("unexpected ')'", tok.line, tok.col)
         return tok
 
-    tree = read()
+    tree = read(0)
     if pos != len(tokens):
         extra = tokens[pos]
         raise ParseError("trailing input after expression", extra.line, extra.col)

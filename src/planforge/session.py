@@ -158,10 +158,12 @@ def stage_generate(
     the count is a target, and a later call may raise it and top the session
     up through the same journal replay.
     """
+    # Checked before either is adopted: a session refuses any input that
+    # differs from the one it adopted first.
+    config = load_config(config_path)
+    domain = parse_domain(Path(domain_path).read_text())
     session.adopt_input(config_path, session.config_path)
     session.adopt_input(domain_path, session.domain_path)
-    config = load_config(session.config_path)
-    domain = parse_domain(session.domain_path.read_text())
 
     fingerprint = stage_fingerprint(
         {

@@ -240,6 +240,22 @@ def literal_bfs(domain, problem):
     return None
 
 
+def sim_reachable_count(domain, problem):
+    """The number of states reachable from the initial state."""
+    actions = sim_ground_all(domain, problem)
+    start = frozenset(problem.init)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state = frontier.pop()
+        for action in actions:
+            nxt = sim_apply(state, action)
+            if nxt is not None and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen)
+
+
 def sim_reachable_by_depth(domain, problem, depth):
     """States reachable in exactly 0..depth steps plus the transition map
     {(state, action signature): successor}."""

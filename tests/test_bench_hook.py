@@ -126,3 +126,14 @@ def test_bench_imports_resolve(script):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_the_in_process_eval_setup_is_byte_identical(tmp_path, monkeypatch):
+    # eval-checkpoints' set-up generates, plans with reference_plan and
+    # assembles in this process, so a search change that alters any plan
+    # changes its hash
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((BENCH / "reference.json").read_text())
+    _split, digest = workloads.build_eval_split(reference["default_seed"], tmp_path)
+    assert digest == reference["hashes"]["eval-checkpoints"]

@@ -136,6 +136,23 @@ def test_gen_problems_stage_error_exits_2(tmp_path, capsys):
     assert "use a fresh session directory" in err
 
 
+def test_gen_problems_names_a_bad_config_and_adopts_nothing(tmp_path, capsys):
+    raw = json.loads(Path(ARTIC3_CONFIG).read_text())
+    raw["object_pools"][0]["quantity"] = 0
+    bad = tmp_path / "bad.dpgc.json"
+    bad.write_text(json.dumps(raw))
+    base = ["gen-problems", "--domain", ARTIC3_DOMAIN, "--count", "2", "--seed", "5",
+            "--session", str(tmp_path / "s")]
+    assert main(base + ["--config", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: config.object_pools[0].quantity: error: "
+        "0 is less than the minimum of 1\n"
+    )
+    # the refused config left the session as it was, so a fixed one runs
+    assert main(base + ["--config", ARTIC3_CONFIG]) == 0
+    assert capsys.readouterr().out.startswith("generated 2 problem(s)")
+
+
 def test_plan_reports_tally_and_resume(cli_session, capsys):
     assert main(["plan", "--session", str(cli_session.root)]) == 0
     out = capsys.readouterr().out
@@ -213,6 +230,17 @@ def test_validate_rejects_with_kind_and_step(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: line 23, col 5: conjunctions are not allowed in ':init'\n"
+    )
+
+    # so is input nested deeper than the reader recurses
+    problem_file.write_text("(define (problem p) (:domain artic3)\n" + "(" * 3000)
+    code = main([
+        "validate", "--domain", ARTIC3_DOMAIN, "--problem", str(problem_file),
+        "--plan", str(plan_file),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 2, col 64: parentheses nested more than 64 deep\n"
     )
 
 

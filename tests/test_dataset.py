@@ -298,6 +298,10 @@ def test_audit_flags_duplicates_within_one_file(tmp_path, corpus):
     pytest.param('[{"instruction": "(define (domain d))", "input": ""}]',
                  "train.json: records[0]: error: 'output' is a required property",
                  id="no output"),
+    pytest.param(json.dumps([{"instruction": "(" * 3000, "input": "", "output": ""}]),
+                 "train.json: records[0]: error: line 1, col 65: "
+                 "parentheses nested more than 64 deep",
+                 id="nested 3000 deep"),
 ])
 def test_audit_refuses_malformed_split_files(tmp_path, text, message):
     (tmp_path / "train.json").write_text(text)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CASCADE, EDGES, EDGES_PROBLEM, MICRO_PLAN, make_stub_adapter
-from oracle import literal_bfs, sim_shortest_plan, sim_validate
+from oracle import literal_bfs, sim_reachable_count, sim_shortest_plan, sim_validate
 from planforge import assets_dir, drivers
 from planforge.drivers import (
     AdapterError,
@@ -432,6 +432,74 @@ def test_search_matches_the_literal_search_on_negative_preconditions():
         assert plan == literal_bfs(domain, problem), goal
         lengths.append(None if plan is None else len(plan))
     assert lengths == [2, 1, None]
+
+
+# No candidate mentions (on b1 p3) or (on b2 p1), and none adds or deletes
+# (marked b3), which loop tests, or (marked h2), which move-heavy's branch
+# tests.  Each keeps its initial truth in every reachable state.
+UNCHANGED = EDGES.replace(":equality", ":equality :conditional-effects").replace(
+    "(and (on ?h ?to) (not (on ?h ?from)))",
+    "(and (on ?h ?to) (not (on ?h ?from)) (when (marked ?h) (and (on ?h ?from))))",
+)
+
+
+@pytest.mark.parametrize("init, goal, length", [
+    ("", "(on b1 p3)", 0),
+    ("", "(not (on b1 p3))", None),
+    ("", "(on b2 p1)", None),
+    ("", "(not (on b2 p1))", 0),
+    ("", "(and (on h2 p3) (on b1 p3))", 1),
+    ("", "(and (on h2 p3) (not (on b1 p3)))", None),
+    ("", "(and (on h2 p3) (on b2 p1))", None),
+    ("", "(and (on h2 p3) (not (on b2 p1)))", 1),
+    ("(marked b3)", "(marked b3)", 0),
+    ("(marked b3)", "(not (marked b3))", None),
+    ("", "(marked b3)", None),
+    ("", "(and (on h2 p3) (not (marked b3)))", 1),
+    ("(marked b2)", "(marked h1)", 1),
+    ("(marked b2) (marked b3)", "(marked h1)", None),
+    ("", "(and (on h2 p3) (on h2 p2))", None),
+    ("(marked h2)", "(and (on h2 p3) (on h2 p2))", 1),
+])
+def test_search_matches_the_literal_search_on_atoms_no_candidate_changes(
+    init, goal, length
+):
+    domain = parse_domain(UNCHANGED)
+    problem = parse_problem(
+        EDGES_PROBLEM.replace("(on b1 p3)", f"(on b1 p3) {init}").format(goal=goal), domain
+    )
+    plan = reference_plan(domain, problem)
+    assert plan == literal_bfs(domain, problem)
+    assert (None if plan is None else len(plan)) == length
+
+
+def test_search_breaks_ties_in_candidate_order_across_filed_groups():
+    # second needs only (p), which both actions need, so first is filed
+    # under the rarer (q), a later bit than second's (p); both reach the goal
+    domain = parse_domain("""
+    (define (domain ties) (:requirements :strips) (:predicates (p) (q) (done))
+      (:action first :parameters () :precondition (and (p) (q))
+        :effect (and (done) (not (q))))
+      (:action second :parameters () :precondition (p) :effect (and (done) (not (p)))))
+    """)
+    problem = parse_problem(
+        "(define (problem t) (:domain ties) (:init (p) (q)) (:goal (done)))", domain
+    )
+    assert reference_plan(domain, problem) == literal_bfs(domain, problem) == [("first",)]
+
+
+def test_an_exhausting_search_expands_every_reachable_state_once(artic3, micro_text):
+    goal_at = micro_text.index("(:goal")
+    artic3_unsolvable = parse_problem(
+        micro_text[:goal_at] + "(:goal (and (held) (free gripper1))))\n", artic3
+    )
+    edges = parse_domain(EDGES)
+    edges_unsolvable = parse_problem(EDGES_PROBLEM.format(goal="(on h1 p3)"), edges)
+    for domain, problem in ((artic3, artic3_unsolvable), (edges, edges_unsolvable)):
+        reachable = sim_reachable_count(domain, problem)
+        assert reference_plan(domain, problem, max_expansions=reachable) is None
+        with pytest.raises(ExpansionBudgetExceeded, match=f"[(]{reachable - 1} states"):
+            reference_plan(domain, problem, max_expansions=reachable - 1)
 
 
 def static_shape(domain, problem):

@@ -385,6 +385,22 @@ def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
         assert info["plan"]["attempted"] == 0
 
 
+def test_run_pipeline_names_the_bad_config_of_its_second_domain(tmp_path):
+    raw = json.loads((assets_dir() / "artic3m.dpgc.json").read_text())
+    raw["object_pools"][0]["quantity"] = 0
+    bad = tmp_path / "artic3m.dpgc.json"
+    bad.write_text(json.dumps(raw))
+    path = write_pipeline_config(tmp_path, domains=[
+        {"domain": str(ARTIC3_DOMAIN), "dpgc": str(ARTIC3_CONFIG), "count": 2},
+        {"domain": str(assets_dir() / "artic3m.pddl"), "dpgc": str(bad), "count": 2},
+    ])
+    with pytest.raises(ValueError, match=re.escape(
+        f"{bad}: config.object_pools[0].quantity: error: 0 is less than the minimum of 1"
+    )):
+        run_pipeline(load_pipeline_config(path), tmp_path / "run")
+    assert not Session(tmp_path / "run" / "artic3m").config_path.exists()
+
+
 def test_run_pipeline_rejects_unknown_adapter(tmp_path):
     path = write_pipeline_config(tmp_path, adapter="warp-drive")
     config = load_pipeline_config(path)
