@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 stage failure.  The hidden
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -29,36 +28,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    """A whole number of zero or more, as an argparse type."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be zero or more, not {value}")
-    return value
+def _number(kind: str):
+    """An argparse type for a number of the ``planforge.shape`` kind named
+    ``kind``, refused with ``shape.check``'s message.  ``shape`` is imported
+    when a flag is read, so that importing the CLI loads no PDDL reader."""
 
+    def read(text: str):
+        from planforge import shape
 
-def _one_or_more(text: str) -> int:
-    """A whole number of one or more, as an argparse type."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be one or more, not {value}")
-    return value
+        number = getattr(shape, kind)
+        try:
+            value = int(text) if number.whole else float(text)
+        except ValueError:
+            value = text  # refused below as not a number
+        for diagnostic in shape.check(value, number, "argument"):
+            raise argparse.ArgumentTypeError(diagnostic.message)
+        return value
 
-
-def _seconds(text: str) -> float:
-    """A finite number of seconds above zero, as an argparse type."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and above zero, not {text}")
-    return value
-
-
-def _temperature(text: str) -> float:
-    """A finite number of zero or more, as an argparse type."""
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and zero or more, not {text}")
-    return value
+    return read
 
 
 def cmd_gen_problems(args) -> int:
@@ -226,7 +213,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-problems", help="generate problems from a config")
     p.add_argument("--config", required=True, help="generation config (.dpgc.json)")
     p.add_argument("--domain", required=True, help="domain file (.pddl)")
-    p.add_argument("--count", required=True, type=_count, help="problems to emit")
+    p.add_argument("--count", required=True, type=_number("ZERO_OR_MORE"), help="problems to emit")
     p.add_argument("--seed", required=True, type=int, help="generation seed")
     p.add_argument("--session", required=True, help="session directory")
     p.set_defaults(func=cmd_gen_problems)
@@ -235,8 +222,9 @@ def build_parser() -> _Parser:
     p.add_argument("--session", required=True)
     p.add_argument("--adapter", default="internal", help="adapter name")
     p.add_argument("--adapters", default=None, help="adapter registry file")
-    p.add_argument("--timeout", type=_seconds, default=None, help="per-problem seconds")
-    p.add_argument("--workers", type=_one_or_more, default=1)
+    p.add_argument("--timeout", type=_number("ABOVE_ZERO"), default=None,
+                   help="per-problem seconds")
+    p.add_argument("--workers", type=_number("ONE_OR_MORE"), default=1)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("assemble", help="assemble dataset splits from sessions")
@@ -244,9 +232,9 @@ def build_parser() -> _Parser:
         "--session", action="append", required=True, help="one per domain session"
     )
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--train", type=_count, default=0)
-    p.add_argument("--val", type=_count, default=0)
-    p.add_argument("--test", type=_count, default=0)
+    p.add_argument("--train", type=_number("ZERO_OR_MORE"), default=0)
+    p.add_argument("--val", type=_number("ZERO_OR_MORE"), default=0)
+    p.add_argument("--test", type=_number("ZERO_OR_MORE"), default=0)
     p.add_argument("--seed", required=True, type=int, help="shuffle seed")
     p.set_defaults(func=cmd_assemble)
 
@@ -264,11 +252,12 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="split file (alpaca json)")
     p.add_argument("--endpoint", required=True, help="completion endpoint URL")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--temperature", type=_temperature, default=0.01)
-    p.add_argument("--token-budget", type=_one_or_more, default=3096)
-    p.add_argument("--timeout", type=_seconds, default=120.0)
-    p.add_argument("--retries", type=_count, default=0)
-    p.add_argument("--limit", type=_count, default=None, help="evaluate first N only")
+    p.add_argument("--temperature", type=_number("AT_LEAST_ZERO"), default=0.01)
+    p.add_argument("--token-budget", type=_number("ONE_OR_MORE"), default=3096)
+    p.add_argument("--timeout", type=_number("ABOVE_ZERO"), default=120.0)
+    p.add_argument("--retries", type=_number("ZERO_OR_MORE"), default=0)
+    p.add_argument("--limit", type=_number("ZERO_OR_MORE"), default=None,
+                   help="evaluate first N only")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="run generate/plan/assemble end to end")
@@ -280,7 +269,8 @@ def build_parser() -> _Parser:
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--max-expansions", type=int, default=1_000_000)
+    p.add_argument("--max-expansions", type=_number("ONE_OR_MORE"),
+                   default=1_000_000)
     p.set_defaults(func=cmd_refplan)
 
     return parser

@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from planforge import atomic_write
 from planforge.generate import fingerprint_problem
-from planforge.pddl.model import Domain, Problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
 from planforge.shape import ALPACA_KEYS, parse_record, read_split
@@ -32,26 +30,13 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One sample.  Its parsed domain and problem and its fingerprint are
-    computed once, when first read, from the exact text that ships."""
+    """One sample, as the exact text that ships."""
 
     domain_name: str
     problem_id: str
     instruction: str  # domain text
     input: str  # problem text
     output: str  # plan text
-
-    @cached_property
-    def domain(self) -> Domain:
-        return parse_domain(self.instruction)
-
-    @cached_property
-    def problem(self) -> Problem:
-        return parse_problem(self.input, self.domain)
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return fingerprint_problem(self.problem)
 
 
 def build_records(
@@ -97,15 +82,24 @@ def to_alpaca(records: list[DatasetRecord]) -> list[dict[str, str]]:
     ]
 
 
-def _revalidate(record: DatasetRecord) -> None:
+def check_record(record: DatasetRecord) -> str:
+    """The fingerprint of ``record``'s problem.  Raises DatasetError unless
+    every field is non-empty, the domain and problem parse and the plan
+    revalidates."""
+    for key in ALPACA_KEYS:
+        if not getattr(record, key).strip():
+            raise DatasetError(f"record '{record.problem_id}' has an empty '{key}' field")
     try:
-        outcome = validate(record.domain, record.problem, record.output)
+        domain = parse_domain(record.instruction)
+        problem = parse_problem(record.input, domain)
+        outcome = validate(domain, problem, record.output)
     except ValueError as err:
         raise DatasetError(f"record '{record.problem_id}' does not parse: {err}") from err
     if not outcome.valid:
         raise DatasetError(
             f"record '{record.problem_id}' has an invalid plan: {outcome.message}"
         )
+    return fingerprint_problem(problem)
 
 
 def per_domain_quotas(quotas: dict[str, int], n_domains: int) -> dict[str, int]:
@@ -144,9 +138,10 @@ def assemble(
     the previous manifest in ``out_dir`` lists and this run does not write
     are deleted, so that an audit sees only this run's splits.
 
-    Raises DatasetError on bad quotas (see ``per_domain_quotas``), empty
-    fields, duplicate problems, plans that do not revalidate, or unmet
-    quotas.
+    Raises DatasetError on bad quotas (see ``per_domain_quotas``), on the
+    first record in input order that ``check_record`` refuses or that
+    repeats an earlier problem, or on unmet quotas.  Only each record's
+    fingerprint is kept, so memory is bounded by the record texts.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -158,25 +153,17 @@ def assemble(
     domains = sorted(groups)
     need_per_domain = per_domain_quotas(quotas, len(domains))
 
+    # Keyed by record, not by id: two sessions of one domain repeat ids.
+    fingerprints: dict[DatasetRecord, str] = {}
+    first_of: dict[str, str] = {}
     for record in records:
-        for key in ALPACA_KEYS:
-            if not getattr(record, key).strip():
-                raise DatasetError(
-                    f"record '{record.problem_id}' has an empty '{key}' field"
-                )
-
-    # Before the fingerprints, so that an input that does not parse says so.
-    for record in records:
-        _revalidate(record)
-
-    by_fp: dict[str, str] = {}
-    for record in records:
-        if record.fingerprint in by_fp:
+        fingerprint = fingerprints[record] = check_record(record)
+        if fingerprint in first_of:
             raise DatasetError(
                 f"duplicate problem: '{record.problem_id}' repeats "
-                f"'{by_fp[record.fingerprint]}'"
+                f"'{first_of[fingerprint]}'"
             )
-        by_fp[record.fingerprint] = record.problem_id
+        first_of[fingerprint] = record.problem_id
 
     total_needed = sum(need_per_domain.values())
     for domain in domains:
@@ -227,7 +214,7 @@ def assemble(
             "count": len(chosen),
             "per_domain": per_domain,
             "ids": [r.problem_id for r in chosen],
-            "fingerprints": [r.fingerprint for r in chosen],
+            "fingerprints": [fingerprints[r] for r in chosen],
         }
         atomic_write(
             out_dir / f"{name}.json", json.dumps(to_alpaca(chosen), indent=2) + "\n"
@@ -240,7 +227,7 @@ def assemble(
         manifest["splits"]["spillover"] = {
             "count": len(spillover),
             "ids": [r.problem_id for r in spillover],
-            "fingerprints": [r.fingerprint for r in spillover],
+            "fingerprints": [fingerprints[r] for r in spillover],
         }
     manifest_path = out_dir / "manifest.json"
     if manifest_path.exists():

@@ -34,11 +34,11 @@ from planforge.dataset import (
     build_records,
     per_domain_quotas,
 )
-from planforge.dpgc import load_config
+from planforge.dpgc import load_config, validate_against_domain
 from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_batch
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
-from planforge.shape import ABOVE_ZERO, ONE_OR_MORE, WHOLE, Array, Map, Maybe, Object, load
+from planforge.shape import ABOVE_ZERO, ONE_OR_MORE, WHOLE, Array, Map, Maybe, Object, load, refuse
 
 
 # Top-up rounds per domain before run_pipeline gives up on a shortfall.
@@ -116,23 +116,30 @@ class Session:
             return []
         return sorted(self.problems_dir.glob("*.pddl"))
 
-    def adopt_input(self, source: str | Path, dest: Path) -> None:
-        """Copy an input file into the session; refuse to clobber a
-        different one, which would desynchronize journal and problems."""
+    def holds_input(self, source: str | Path, dest: Path) -> bool:
+        """Whether the session already holds ``source`` as ``dest``; refuse
+        a different one, which would desynchronize journal and problems."""
         source = Path(source)
         if not source.exists():
             raise StageError(f"input file not found: {source}")
-        if dest.exists():
-            if dest.read_text() != source.read_text():
-                raise StageError(
-                    f"{dest.name} already in session {self.root} differs from "
-                    f"{source}; use a fresh session directory"
-                )
+        if not dest.exists():
+            return False
+        if dest.read_text() != source.read_text():
+            raise StageError(
+                f"{dest.name} already in session {self.root} differs from "
+                f"{source}; use a fresh session directory"
+            )
+        return True
+
+    def adopt_input(self, source: str | Path, dest: Path) -> None:
+        """Copy an input file into the session, unless it holds it already
+        (see ``holds_input``)."""
+        if self.holds_input(source, dest):
             return
         self.root.mkdir(parents=True, exist_ok=True)
         # Whole or not at all: a torn copy would differ from its source and
         # make every rerun refuse the session.
-        atomic_write(dest, source.read_bytes())
+        atomic_write(dest, Path(source).read_bytes())
 
 
 def load_adapter(name: str, registry: str | Path | None = None) -> PlannerAdapter:
@@ -159,11 +166,16 @@ def stage_generate(
     up through the same journal replay.
     """
     # Checked before either is adopted: a session refuses any input that
-    # differs from the one it adopted first.
+    # differs from the one it adopted first, then a config that does not
+    # fit its domain.
     config = load_config(config_path)
     domain = parse_domain(Path(domain_path).read_text())
-    session.adopt_input(config_path, session.config_path)
-    session.adopt_input(domain_path, session.domain_path)
+    inputs = ((config_path, session.config_path), (domain_path, session.domain_path))
+    for source, dest in inputs:
+        session.holds_input(source, dest)
+    refuse(config_path, validate_against_domain(config, domain), StageError)
+    for source, dest in inputs:
+        session.adopt_input(source, dest)
 
     fingerprint = stage_fingerprint(
         {

@@ -30,7 +30,9 @@ Maybe = namedtuple("Maybe", "kind")
 Number = namedtuple("Number", "whole minimum maximum minimum_excluded",
                     defaults=(-math.inf, math.inf, False))
 WHOLE = Number(True)
+ZERO_OR_MORE = Number(True, 0)
 ONE_OR_MORE = Number(True, 1)
+AT_LEAST_ZERO = Number(False, 0)
 ABOVE_ZERO = Number(False, 0, math.inf, True)
 
 

@@ -59,8 +59,8 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 HEAVY_MODULES = ("planforge.evaluate", "planforge.dpgc", "planforge.generate")
 
 
-def modules_after(argv: list[str] | None) -> set[str]:
-    """Which HEAVY_MODULES a fresh interpreter holds after importing the CLI
+def modules_after(argv: list[str] | None, modules=HEAVY_MODULES) -> set[str]:
+    """Which ``modules`` a fresh interpreter holds after importing the CLI
     and, unless argv is None, running it once."""
     code = (
         "import json, sys\n"
@@ -68,7 +68,7 @@ def modules_after(argv: list[str] | None) -> set[str]:
         f"argv = {argv!r}\n"
         "if argv is not None:\n"
         "    main(argv)\n"
-        f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     src = str(assets_dir().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -77,6 +77,11 @@ def modules_after(argv: list[str] | None) -> set[str]:
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_pddl_reader():
+    # a number flag imports its kind from planforge.shape when it is read
+    assert modules_after(None, ("planforge.shape", "planforge.pddl")) == set()
 
 
 def test_commands_import_only_what_they_use(tmp_path):
@@ -149,6 +154,20 @@ def test_gen_problems_names_a_bad_config_and_adopts_nothing(tmp_path, capsys):
         "0 is less than the minimum of 1\n"
     )
     # the refused config left the session as it was, so a fixed one runs
+    assert main(base + ["--config", ARTIC3_CONFIG]) == 0
+    assert capsys.readouterr().out.startswith("generated 2 problem(s)")
+
+
+def test_gen_problems_names_a_misfit_config_and_adopts_nothing(tmp_path, capsys):
+    misfit = str(assets_dir() / "artic3m.dpgc.json")
+    base = ["gen-problems", "--domain", ARTIC3_DOMAIN, "--count", "2", "--seed", "5",
+            "--session", str(tmp_path / "s")]
+    assert main(base + ["--config", misfit]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {misfit}: config.domain: error: "
+        "config targets domain 'artic3m', got 'artic3'\n"
+    )
+    # the refused config left the session as it was, so a fitting one runs
     assert main(base + ["--config", ARTIC3_CONFIG]) == 0
     assert capsys.readouterr().out.startswith("generated 2 problem(s)")
 
@@ -389,33 +408,41 @@ EVAL_ARGV = ["eval", "--dataset", "{tmp}/val.json", "--endpoint", "http://localh
 
 
 @pytest.mark.parametrize("argv, flag, value, message", [
-    pytest.param(EVAL_ARGV, "--retries", "-1", "must be zero or more", id="--retries"),
-    pytest.param(EVAL_ARGV, "--limit", "-1", "must be zero or more", id="--limit"),
-    pytest.param(EVAL_ARGV, "--timeout", "0", "must be finite and above zero",
-                 id="eval--timeout"),
-    pytest.param(EVAL_ARGV, "--token-budget", "-5", "must be one or more",
+    pytest.param(EVAL_ARGV, "--retries", "-1", "-1 is less than the minimum of 0",
+                 id="--retries"),
+    pytest.param(EVAL_ARGV, "--limit", "-1", "-1 is less than the minimum of 0",
+                 id="--limit"),
+    pytest.param(EVAL_ARGV, "--timeout", "0",
+                 "0.0 is less than or equal to the minimum of 0", id="eval--timeout"),
+    pytest.param(EVAL_ARGV, "--token-budget", "-5", "-5 is less than the minimum of 1",
                  id="eval--token-budget"),
-    pytest.param(EVAL_ARGV, "--token-budget", "0", "must be one or more",
+    pytest.param(EVAL_ARGV, "--token-budget", "0", "0 is less than the minimum of 1",
                  id="eval--token-budget-zero"),
-    pytest.param(EVAL_ARGV, "--temperature", "nan", "must be finite and zero or more",
+    pytest.param(EVAL_ARGV, "--temperature", "nan", "nan is not a finite number",
                  id="eval--temperature-nan"),
-    pytest.param(EVAL_ARGV, "--temperature", "inf", "must be finite and zero or more",
+    pytest.param(EVAL_ARGV, "--temperature", "inf", "inf is not a finite number",
                  id="eval--temperature-inf"),
-    pytest.param(EVAL_ARGV, "--temperature", "-1", "must be finite and zero or more",
+    pytest.param(EVAL_ARGV, "--temperature", "-1", "-1.0 is less than the minimum of 0",
                  id="eval--temperature-negative"),
     pytest.param(["gen-problems", "--config", "c.json", "--domain", "d.pddl",
                   "--seed", "7", "--session", "{tmp}/r"],
-                 "--count", "-3", "must be zero or more", id="gen-problems--count"),
+                 "--count", "-3", "-3 is less than the minimum of 0",
+                 id="gen-problems--count"),
     pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "-5",
-                 "must be finite and above zero", id="plan--timeout"),
+                 "-5.0 is less than or equal to the minimum of 0", id="plan--timeout"),
     pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "0",
-                 "must be finite and above zero", id="plan--timeout-zero"),
+                 "0.0 is less than or equal to the minimum of 0", id="plan--timeout-zero"),
     pytest.param(["plan", "--session", "{tmp}/r"], "--timeout", "inf",
-                 "must be finite and above zero", id="plan--timeout-inf"),
+                 "inf is not a finite number", id="plan--timeout-inf"),
     pytest.param(["plan", "--session", "{tmp}/r"], "--workers", "0",
-                 "must be one or more", id="plan--workers"),
+                 "0 is less than the minimum of 1", id="plan--workers"),
+    pytest.param(["plan", "--session", "{tmp}/r"], "--workers", "1.5",
+                 "'1.5' is not of type 'integer'", id="plan--workers-fraction"),
+    pytest.param(["refplan", "--domain", "d.pddl", "--problem", "p.pddl",
+                  "--output", "{tmp}/r"], "--max-expansions", "0",
+                 "0 is less than the minimum of 1", id="refplan--max-expansions"),
     pytest.param(["assemble", "--session", "{tmp}/s", "--out", "{tmp}/r", "--seed", "1",
-                  "--val", "2"], "--train", "-5", "must be zero or more",
+                  "--val", "2"], "--train", "-5", "-5 is less than the minimum of 0",
                  id="assemble--train"),
 ])
 def test_eval_rejects_negative_counts(tmp_path, capsys, argv, flag, value, message):
@@ -424,7 +451,7 @@ def test_eval_rejects_negative_counts(tmp_path, capsys, argv, flag, value, messa
     with pytest.raises(SystemExit) as exit_info:
         main([arg.format(tmp=tmp_path) for arg in argv] + [flag, value])
     assert exit_info.value.code == 1
-    assert f"argument {flag}: {message}, not {value}" in capsys.readouterr().err
+    assert f"argument {flag}: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

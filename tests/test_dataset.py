@@ -14,13 +14,15 @@ from planforge.dataset import (
     assemble,
     audit_leakage,
     build_records,
+    check_record,
     to_alpaca,
 )
 from planforge.dpgc import load_config
 from planforge.drivers import reference_plan
-from planforge.generate import generate_batch
+from planforge.generate import fingerprint_problem, generate_batch
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import render_plan
+from planforge.shape import parse_record
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_build_records_structure(corpus):
     assert "(define (domain artic3)" in record.instruction
     assert record.input.startswith("(define (problem artic3-task)")
     assert record.output.strip().startswith("(")
-    assert len(record.fingerprint) == 32
+    assert len(check_record(record)) == 32
 
 
 def test_build_records_skips_missing_and_empty_plans(tmp_path, corpus):
@@ -230,6 +232,30 @@ def test_build_and_assemble_parse_each_problem_once(tmp_path, corpus, monkeypatc
     assert parsed == []
     assemble(records, {"train": 16, "val": 8}, 5, tmp_path)
     assert sorted(parsed) == sorted(r.input for r in records)
+
+
+def test_assembled_records_keep_only_their_text(tmp_path, corpus):
+    records = [dataclasses.replace(r) for r in balanced(corpus)]
+    assemble(records, {"train": 16, "val": 8}, 5, tmp_path)
+    fields = [f.name for f in dataclasses.fields(DatasetRecord)]
+    assert fields == ["domain_name", "problem_id", *ALPACA_KEYS]
+    for record in records:
+        assert list(vars(record)) == fields
+
+
+def test_manifest_fingerprints_follow_records_that_share_an_id(tmp_path, corpus):
+    # two sessions of one domain number their problems alike
+    records = [dataclasses.replace(r, problem_id=f"artic3_{i % 2:06d}")
+               for i, r in enumerate(corpus["artic3"][:12])]
+    manifest = assemble(records, {"train": 8, "val": 2}, 5, tmp_path)
+    for name, info in manifest["splits"].items():
+        shipped = json.loads((tmp_path / manifest["files"][name]).read_text())
+        recomputed = []
+        for index, entry in enumerate(shipped):
+            _, problem = parse_record(name, index, entry)
+            recomputed.append(fingerprint_problem(problem))
+        assert info["fingerprints"] == recomputed
+        assert len(set(recomputed)) == len(shipped)
 
 
 def test_reassembly_leaves_only_its_own_files(tmp_path, corpus):
