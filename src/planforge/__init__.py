@@ -1,7 +1,11 @@
 """Data factory and evaluation harness for task-planning datasets."""
 
 import os
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
+
+_T = TypeVar("_T")
 
 __version__ = "0.1.0"
 
@@ -9,6 +13,16 @@ __version__ = "0.1.0"
 def assets_dir() -> Path:
     """Directory holding the bundled domains, generation configs and adapters."""
     return Path(__file__).resolve().parent / "assets"
+
+
+def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the text of the file ``path``.  A ValueError from
+    either, such as a parse error or bytes that are not UTF-8, is raised
+    again as a ValueError that begins ``<path>: ``."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:

@@ -103,12 +103,13 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from planforge import parse_file
     from planforge.pddl.parser import parse_domain, parse_problem
     from planforge.plans import validate
 
-    domain = parse_domain(Path(args.domain).read_text())
-    problem = parse_problem(Path(args.problem).read_text(), domain)
-    result = validate(domain, problem, Path(args.plan).read_text())
+    domain = parse_file(args.domain, parse_domain)
+    problem = parse_file(args.problem, lambda text: parse_problem(text, domain))
+    result = parse_file(args.plan, lambda text: validate(domain, problem, text))
     if result.valid:
         print(result.message)
         return EXIT_OK

@@ -19,13 +19,18 @@ from planforge import atomic_write
 from planforge.generate import fingerprint_problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
-from planforge.shape import ALPACA_KEYS, parse_record, read_split
+from planforge.shape import ALPACA_KEYS, Map, Object, load, parse_record, read_split
 
 SPLIT_NAMES = ("train", "val", "test")
 
 
 class DatasetError(ValueError):
     pass
+
+
+# What ``assemble`` reads of the manifest a previous run left: the files it
+# lists.
+_MANIFEST = Object({"files": Map("string")}, ("files",), open=True)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,8 @@ def assemble(
 
     Raises DatasetError on bad quotas (see ``per_domain_quotas``), on the
     first record in input order that ``check_record`` refuses or that
-    repeats an earlier problem, or on unmet quotas.  Only each record's
+    repeats an earlier problem, on unmet quotas, or on a previous manifest
+    whose ``files`` is not a map of names.  Only each record's
     fingerprint is kept, so memory is bounded by the record texts.
     """
     out_dir = Path(out_dir)
@@ -205,6 +211,11 @@ def assemble(
     if spillover:
         manifest["files"]["spillover"] = "spillover.json"
 
+    # Refused before any split is written, so that out_dir stays as it was.
+    manifest_path = out_dir / "manifest.json"
+    previous = {"files": {}}
+    if manifest_path.exists():
+        previous = load(manifest_path, _MANIFEST, "manifest", DatasetError)
     for name in quotas:
         chosen = splits[name]
         per_domain: dict[str, int] = {d: 0 for d in domains}
@@ -229,11 +240,8 @@ def assemble(
             "ids": [r.problem_id for r in spillover],
             "fingerprints": [fingerprints[r] for r in spillover],
         }
-    manifest_path = out_dir / "manifest.json"
-    if manifest_path.exists():
-        listed = set(json.loads(manifest_path.read_text())["files"].values())
-        for name in listed - set(manifest["files"].values()):
-            (out_dir / Path(name).name).unlink(missing_ok=True)
+    for name in set(previous["files"].values()) - set(manifest["files"].values()):
+        (out_dir / Path(name).name).unlink(missing_ok=True)
     atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest
 

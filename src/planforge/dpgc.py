@@ -296,6 +296,8 @@ def load_config(path: str | Path) -> GeneratorConfig:
         return parse_config(Path(path).read_text())
     except OSError as err:
         diagnostics = [Diagnostic("config", f"cannot read: {err.strerror or err}")]
+    except UnicodeDecodeError as err:
+        diagnostics = [Diagnostic("config", f"cannot read: {err}")]
     except ConfigError as err:
         diagnostics = err.diagnostics
     raise ConfigError([Diagnostic(f"{path}: {d.path}", d.message) for d in diagnostics])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from planforge.pddl.model import (
     EQ,
@@ -44,8 +44,8 @@ ACCEPTED_REQUIREMENTS = (
 _TOKEN_RE = re.compile(r"[()]|[^\s();]+")
 
 # The deepest group the reader opens.  The accepted fragment needs about ten
-# levels; the reader and the parser recurse once per level, so without a
-# limit deep input would end in a RecursionError without a position.
+# levels; the parser recurses once per level, so without a limit deep input
+# would end in a RecursionError without a position.
 _MAX_DEPTH = 64
 
 
@@ -60,8 +60,7 @@ class ParseError(ValueError):
             super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -79,55 +78,41 @@ class SExpr(list):
 Node = Token | SExpr
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _read_tree(text: str) -> Node:
+    """The one expression ``text`` holds, read in one pass.  Each token or
+    new group goes to the innermost group still open, the last on a stack
+    whose bottom holds the expression.  A comment runs from ``;`` to the
+    end of its line."""
+    top: list[Node] = []
+    stack: list[list[Node]] = [top]
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split(";", 1)[0]
-        for m in _TOKEN_RE.finditer(body):
-            tokens.append(Token(m.group().lower(), lineno, m.start() + 1))
-    return tokens
-
-
-def _read_tree(tokens: list[Token]) -> Node:
-    if not tokens:
+        for m in _TOKEN_RE.finditer(line.split(";", 1)[0]):
+            word, col = m.group(), m.start() + 1
+            if top and len(stack) == 1:
+                raise ParseError("trailing input after expression", lineno, col)
+            if word == "(":
+                if len(stack) > _MAX_DEPTH:
+                    raise ParseError(
+                        f"parentheses nested more than {_MAX_DEPTH} deep", lineno, col
+                    )
+                group = SExpr(lineno, col)
+                stack[-1].append(group)
+                stack.append(group)
+            elif word == ")":
+                if len(stack) == 1:
+                    raise ParseError("unexpected ')'", lineno, col)
+                stack.pop()
+            else:
+                stack[-1].append(Token(word.lower(), lineno, col))
+    if len(stack) > 1:
+        raise _fail(stack[-1], "unbalanced parenthesis")
+    if not top:
         raise ParseError("empty input")
-    pos = 0
-
-    def read(depth: int) -> Node:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        if tok.text == "(":
-            if depth == _MAX_DEPTH:
-                raise ParseError(
-                    f"parentheses nested more than {_MAX_DEPTH} deep", tok.line, tok.col
-                )
-            group = SExpr(tok.line, tok.col)
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("unbalanced parenthesis", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return group
-                group.append(read(depth + 1))
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
-        return tok
-
-    tree = read(0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing input after expression", extra.line, extra.col)
-    return tree
-
-
-def _where(node: Node) -> tuple[int, int]:
-    return (node.line, node.col)
+    return top[0]
 
 
 def _fail(node: Node, message: str) -> ParseError:
-    line, col = _where(node)
-    return ParseError(message, line, col)
+    return ParseError(message, node.line, node.col)
 
 
 def _expect_group(node: Node, what: str) -> SExpr:
@@ -389,7 +374,7 @@ def _parse_action(
 def _parse_define(text: str, kind: str) -> tuple[SExpr, str, list[Node]]:
     """Read ``(define (KIND NAME) SECTION...)`` into the whole group, NAME
     and the sections."""
-    group = _expect_group(_read_tree(tokenize(text)), f"a {kind} definition")
+    group = _expect_group(_read_tree(text), f"a {kind} definition")
     if _head(group) != "define":
         raise _fail(group, f"expected (define ({kind} ...) ...)")
     nodes = list(group)[1:]

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from planforge import atomic_write
+from planforge import atomic_write, parse_file
 from planforge.dataset import (
     DatasetError,
     DatasetRecord,
@@ -47,6 +47,11 @@ MAX_ROUNDS = 10
 
 class StageError(RuntimeError):
     pass
+
+
+# The fields of a stage marker that the stages read back.
+_MARKER = Object({"fingerprint": "string", "count": WHOLE, "adapter": "string"},
+                 ("fingerprint",), open=True)
 
 
 def stage_fingerprint(parts: dict) -> str:
@@ -100,10 +105,13 @@ class Session:
         return self.logs_dir / f"{stage}.json"
 
     def read_marker(self, stage: str) -> dict | None:
+        """The marker of ``stage``, or None if it has none.  A marker that
+        is not JSON, or whose fields do not fit ``_MARKER``, is a StageError
+        naming the file and the place."""
         path = self.marker_path(stage)
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        return load(path, _MARKER, "marker", StageError)
 
     def write_marker(self, stage: str, fingerprint: str, **extra) -> None:
         self.logs_dir.mkdir(parents=True, exist_ok=True)
@@ -169,7 +177,7 @@ def stage_generate(
     # differs from the one it adopted first, then a config that does not
     # fit its domain.
     config = load_config(config_path)
-    domain = parse_domain(Path(domain_path).read_text())
+    domain = parse_file(domain_path, parse_domain)
     inputs = ((config_path, session.config_path), (domain_path, session.domain_path))
     for source, dest in inputs:
         session.holds_input(source, dest)
@@ -193,7 +201,7 @@ def stage_generate(
                 "config/domain/seed; use a fresh session directory"
             )
         if marker.get("count", 0) >= count:
-            return {"skipped": True, "count": marker["count"]}
+            return {"skipped": True, "count": marker.get("count", 0)}
 
     try:
         result = generate_batch(
@@ -258,7 +266,7 @@ def stage_plan(
     if marker is not None and marker["fingerprint"] != fingerprint:
         raise StageError(
             f"session {session.root} was planned with adapter "
-            f"'{marker['adapter']}', not '{adapter.name}'; use a fresh session "
+            f"'{marker.get('adapter')}', not '{adapter.name}'; use a fresh session "
             "directory"
         )
     pending = [
@@ -378,7 +386,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     all_records: list[DatasetRecord] = []
     with PlannerPool(config.get("workers", 1)) as pool:
         for entry in config["domains"]:
-            domain_name = parse_domain(Path(entry["domain"]).read_text()).name
+            domain_name = parse_file(entry["domain"], parse_domain).name
             sub = Session(root / domain_name)
             target = entry["count"]
             usable = 0

@@ -248,10 +248,10 @@ def test_validate_rejects_with_kind_and_step(tmp_path, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: line 23, col 5: conjunctions are not allowed in ':init'\n"
+        f"error: {problem_file}: line 23, col 5: conjunctions are not allowed in ':init'\n"
     )
 
-    # so is input nested deeper than the reader recurses
+    # so is input nested deeper than the parser goes
     problem_file.write_text("(define (problem p) (:domain artic3)\n" + "(" * 3000)
     code = main([
         "validate", "--domain", ARTIC3_DOMAIN, "--problem", str(problem_file),
@@ -259,7 +259,7 @@ def test_validate_rejects_with_kind_and_step(tmp_path, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: line 2, col 64: parentheses nested more than 64 deep\n"
+        f"error: {problem_file}: line 2, col 64: parentheses nested more than 64 deep\n"
     )
 
 
@@ -526,3 +526,90 @@ def test_pipeline_runs_end_to_end(tmp_path, capsys):
     )
     assert re.search(r"^dataset: .*train=2 val=2$", out, re.M)
     assert (session / "dataset" / "train.json").exists()
+
+
+def _gen_problems(session: Path, config: str = ARTIC3_CONFIG,
+                  domain: str = ARTIC3_DOMAIN) -> list[str]:
+    return ["gen-problems", "--config", config, "--domain", domain,
+            "--count", "2", "--seed", "1", "--session", str(session)]
+
+
+@pytest.mark.parametrize("stage, text, message", [
+    ("generate", "{}", "'fingerprint' is a required property"),
+    ("plan", "[]", "[] is not of type 'object'"),
+    ("plan", "x", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["generate-object", "plan-array", "plan-not-json"])
+def test_a_malformed_stage_marker_is_named(tmp_path, capsys, stage, text, message):
+    session = tmp_path / "s"
+    assert main(_gen_problems(session)) == 0
+    marker = session / "logs" / f"{stage}.json"
+    marker.write_text(text)
+    capsys.readouterr()
+    rerun = _gen_problems(session) if stage == "generate" else ["plan", "--session", str(session)]
+    assert main(rerun) == 2
+    assert capsys.readouterr().err == f"error: {marker}: marker: error: {message}\n"
+
+
+def test_assemble_refuses_a_manifest_without_files_and_writes_nothing(
+        cli_session, tmp_path, capsys):
+    out = tmp_path / "dataset"
+    out.mkdir()
+    (out / "train.json").write_text("[]\n")
+    manifest = out / "manifest.json"
+    manifest.write_text(json.dumps({"seed": "1"}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["assemble", "--session", str(cli_session.root), "--out", str(out),
+                 "--train", "2", "--val", "2", "--seed", "9"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: manifest: error: 'files' is a required property\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Each PDDL file that does not read or parse is named in front of the error.
+UNKNOWN_TYPE = "(define (problem p) (:domain artic3) (:objects a - nosuchtype) (:goal (held)))"
+UNKNOWN_PREDICATE = "(define (domain d) (:predicates (p)) (:action a :parameters () :effect (q)))"
+
+
+@pytest.mark.parametrize("bad, content, message", [
+    ("domain", b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("problem", UNKNOWN_TYPE.encode(), "line 1, col 38: unknown type 'nosuchtype' for object 'a'"),
+    ("plan", b"grasp\n", "line 1: expected '(action args...)', got 'grasp'"),
+], ids=["domain", "problem", "plan"])
+def test_validate_names_the_file_it_refuses(tmp_path, capsys, bad, content, message):
+    files = {"domain": ARTIC3_DOMAIN, "problem": MICRO_PROBLEM, "plan": tmp_path / "gold.plan"}
+    files["plan"].write_text(MICRO_PLAN)
+    files[bad] = tmp_path / f"bad.{bad}"
+    files[bad].write_bytes(content)
+    argv = ["validate"] + [arg for name, path in files.items() for arg in (f"--{name}", str(path))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {files[bad]}: {message}\n"
+
+
+def test_gen_problems_names_a_domain_that_does_not_parse(tmp_path, capsys):
+    domain = tmp_path / "bad.pddl"
+    domain.write_text(UNKNOWN_PREDICATE)
+    assert main(_gen_problems(tmp_path / "s", domain=str(domain))) == 2
+    assert capsys.readouterr().err == f"error: {domain}: line 1, col 72: unknown predicate 'q'\n"
+
+
+def test_gen_problems_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "bad.dpgc.json"
+    config.write_bytes(b"{\xff}")
+    assert main(_gen_problems(tmp_path / "s", config=str(config))) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: config: error: cannot read: 'utf-8' codec can't decode "
+        "byte 0xff in position 1: invalid start byte\n")
+
+
+def test_pipeline_names_a_domain_that_does_not_parse(tmp_path, capsys):
+    domain = tmp_path / "bad.pddl"
+    domain.write_text(UNKNOWN_PREDICATE)
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        "seed": 23,
+        "domains": [{"domain": str(domain), "dpgc": ARTIC3_CONFIG, "count": 2}],
+        "quotas": {"train": 1},
+    }))
+    assert main(["pipeline", "--config", str(config), "--session", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {domain}: line 1, col 72: unknown predicate 'q'\n"

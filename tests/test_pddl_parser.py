@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from planforge.pddl.model import EffectBranch, Literal, Param
 from planforge.pddl.parser import ParseError, parse_domain, parse_problem
+
+import pddl_mutants
 
 MINI = """
 (define (domain mini)
@@ -213,3 +217,17 @@ def test_error_positions_point_at_offender():
     assert err.value.line is not None
     lines = bad.splitlines()
     assert "?z" in lines[err.value.line - 1]
+
+
+@pytest.mark.parametrize("brk", pddl_mutants.LINE_BREAKS, ids=ascii)
+def test_a_comment_ends_at_every_line_break(brk):
+    head = f"(define (domain d) ; (:bogus) ({brk}  "
+    assert parse_domain(head + "(:types t))").types == (("t", "object"),)
+    _expect(head + "(:types t) (:bogus))", "line 2, col 14: unknown domain section ':bogus'")
+
+
+def test_seeded_mutants_read_as_recorded():
+    fixture = json.loads(pddl_mutants.FIXTURE.read_text())
+    outcomes = [pddl_mutants.outcome(kind, text)
+                for kind, text in pddl_mutants.mutants(fixture["seed"], fixture["per_file"])]
+    assert outcomes == fixture["outcomes"]
