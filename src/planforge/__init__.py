@@ -17,12 +17,14 @@ def assets_dir() -> Path:
 
 def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
     """``parse`` of the text of the file ``path``.  A ValueError from
-    either, such as a parse error or bytes that are not UTF-8, is raised
-    again as a ValueError that begins ``<path>: ``."""
+    either, such as a parse error or bytes that are not UTF-8, or a file that
+    cannot be read, is raised again as a ValueError that begins ``<path>: ``."""
     try:
         return parse(Path(path).read_text())
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+    except OSError as err:
+        raise ValueError(f"{path}: cannot read: {err.strerror or err}") from err
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:

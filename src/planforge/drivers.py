@@ -2,10 +2,10 @@
 
 Adapters describe external planners as command templates; every invocation is
 a subprocess in its own process group with a hard timeout, and wall time is
-measured here so that all planners are timed the same way.  Exit status
-mapping: a recognized no-plan message maps to ``no_solution``, a nonzero
-exit, spawn failure or output the dialect cannot normalize maps to
-``crashed``, and anything that normalizes and parses maps to ``solved``.
+measured here so that all planners are timed the same way.  ``solve`` alone
+decides each status: an unreadable input, a nonzero exit, spawn failure or
+output that cannot be normalized or parsed is ``crashed``, a recognized
+no-plan message ``no_solution``, and a plan ``solved`` or ``invalid``.
 
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
-from planforge import assets_dir, atomic_write
+from planforge import assets_dir, atomic_write, parse_file
 from planforge.pddl.ground import (
     holds,
     iter_applicable_candidates,
@@ -194,10 +194,38 @@ def solve(
     *,
     timeout: float | None = None,
 ) -> SolveResult:
-    """Run one planner invocation with a hard timeout."""
+    """Run one planner invocation with a hard timeout, and check its plan.
+
+    The domain and the problem are read once, here: one that cannot be is
+    ``crashed``, its detail starting with the file's path.  A plan is then
+    ``solved`` if it validates against them, else ``invalid`` with the
+    validator's ``step N: ...`` as detail."""
     timeout = timeout if timeout is not None else adapter.timeout
+    start = time.perf_counter()
+    try:
+        domain = parse_file(domain_path, parse_domain)
+        problem = parse_file(problem_path, lambda text: parse_problem(text, domain))
+    except ValueError as err:
+        return SolveResult("crashed", None, time.perf_counter() - start, str(err))
     if runs_in_process(adapter):
-        return _solve_in_process(domain_path, problem_path, timeout)
+        result = _solve_in_process(domain, problem, timeout)
+    else:
+        result = _run_planner(adapter, domain_path, problem_path, timeout)
+    if result.status != "solved":
+        return result
+    try:
+        steps = parse_plan(result.plan_text)
+    except ValueError as err:
+        return SolveResult("crashed", None, result.wall_time, str(err))
+    outcome = validate(domain, problem, steps)
+    if not outcome.valid:
+        return SolveResult("invalid", None, result.wall_time, outcome.message)
+    return dataclasses.replace(result, plan_text=render_plan(steps))
+
+
+def _run_planner(adapter: PlannerAdapter, domain_path: str | Path,
+                 problem_path: str | Path, timeout: float) -> SolveResult:
+    """An external planner's result; ``solved`` holds its normalized output."""
     with tempfile.TemporaryDirectory(prefix="planforge-solve-") as tmp:
         output_path = Path(tmp) / "plan.out"
         mapping = {
@@ -206,9 +234,7 @@ def solve(
             "output": str(output_path),
             "python": sys.executable,
         }
-        cmd = [_fill(adapter.executable, mapping)] + [
-            _fill(arg, mapping) for arg in adapter.args
-        ]
+        cmd = [_fill(arg, mapping) for arg in (adapter.executable, *adapter.args)]
         start = time.perf_counter()
         try:
             # A process group of its own, so that killing the group kills
@@ -247,18 +273,14 @@ def solve(
             return SolveResult("crashed", None, wall, f"exit code {proc.returncode}")
         if adapter.output == "file":
             if not output_path.exists():
-                return SolveResult(
-                    "crashed", None, wall, "exited 0 but wrote no plan file"
-                )
+                return SolveResult("crashed", None, wall, "exited 0 but wrote no plan file")
             payload = output_path.read_text()
         else:
             payload = stdout
         try:
-            plan_text = normalize_output(payload, adapter.dialect)
-            parse_plan(plan_text)
-        except ValueError as err:
+            return SolveResult("solved", normalize_output(payload, adapter.dialect), wall)
+        except NormalizationError as err:
             return SolveResult("crashed", None, wall, str(err))
-        return SolveResult("solved", plan_text, wall)
 
 
 def _kill_group(pgid: int) -> None:
@@ -268,29 +290,21 @@ def _kill_group(pgid: int) -> None:
         pass
 
 
-def _solve_in_process(
-    domain_path: str | Path, problem_path: str | Path, timeout: float
-) -> SolveResult:
+def _solve_in_process(domain: Domain, problem: Problem, timeout: float) -> SolveResult:
     """``refplan``'s protocol without its interpreter: a plan is ``solved``,
-    exhaustion ``no_solution`` (exit 3), the expansion budget or an unreadable
-    input ``crashed`` (exit 4 or 2), and an answer after the deadline
-    ``timeout``, as if the subprocess had been killed then."""
+    exhaustion ``no_solution`` (exit 3), the expansion budget ``crashed``
+    (exit 4), and an answer after the deadline ``timeout``, as if the
+    subprocess had been killed then."""
     start = time.perf_counter()
     deadline = time.monotonic() + timeout
-    status, plan_text, detail = "solved", None, ""
+    status, plan_text, detail = "no_solution", None, ""
     try:
-        domain = parse_domain(Path(domain_path).read_text())
-        problem = parse_problem(Path(problem_path).read_text(), domain)
-        plan = reference_plan(domain, problem, deadline=deadline)
+        if (plan := reference_plan(domain, problem, deadline=deadline)) is not None:
+            status, plan_text = "solved", render_plan(plan)
     except TimeoutError:
         status = "timeout"
-    except (ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError) as err:
         status, detail = "crashed", str(err)
-    else:
-        if plan is None:
-            status = "no_solution"
-        else:
-            plan_text = render_plan(plan)
     wall = time.perf_counter() - start
     if status == "timeout" or time.monotonic() > deadline:
         return SolveResult("timeout", None, wall, f"deadline of {timeout}s passed")
@@ -485,35 +499,19 @@ def plan_batch(
     pool: PlannerPool | None = None,
     log_path: str | Path | None = None,
 ) -> list[SolveResult]:
-    """Solve a set of problems and keep only plans that validate exactly;
-    returns one result per problem, in order.
+    """Solve a set of problems and keep the plans that ``solve`` found
+    valid; returns one result per problem, in order.
 
     Every problem is solved on ``pool``'s workers, whatever the adapter (see
     ``PlannerPool``); without a pool, the batch opens a one-worker pool of
-    its own and closes it before returning.  Each result is kept in the
-    calling process as it arrives: a plan that validates against
-    ``domain_path`` is written whole to ``<problem>.plan`` and becomes the
-    result's ``plan_text``; one that does not is ``invalid``, with the
-    validator's message as detail.  The log gets one line per problem as it
-    is kept: id, status, wall time, plan length (``-`` when there is none).
+    its own and closes it before returning.  A worker's ``solve`` decides
+    each status; this process only writes a ``solved`` result's plan whole
+    to ``<problem>.plan`` as it arrives, and logs one line per problem: id,
+    status, wall time, plan length (``-`` when there is none).
     """
     plans_dir = Path(plans_dir)
     plans_dir.mkdir(parents=True, exist_ok=True)
-    domain = parse_domain(Path(domain_path).read_text())
     timeout = timeout if timeout is not None else adapter.timeout
-
-    def keep(problem_path: Path, result: SolveResult) -> SolveResult:
-        if result.status != "solved":
-            return result
-        problem = parse_problem(problem_path.read_text(), domain)
-        steps = parse_plan(result.plan_text)
-        outcome = validate(domain, problem, steps)
-        if not outcome.valid:
-            return SolveResult("invalid", None, result.wall_time, outcome.message)
-        plan_text = render_plan(steps)
-        # stage_plan counts any plan file as done, so it must be whole.
-        atomic_write(plans_dir / f"{problem_path.stem}.plan", plan_text)
-        return dataclasses.replace(result, plan_text=plan_text)
 
     results: list[SolveResult | None] = [None] * len(problem_paths)
     with (
@@ -527,12 +525,13 @@ def plan_batch(
     ):
         log.write(f"# plan adapter={adapter.name} problems={len(problem_paths)}\n")
         for index, result in arrivals:
-            result = results[index] = keep(problem_paths[index], result)
+            results[index] = result
+            stem = problem_paths[index].stem
+            if result.status == "solved":
+                # stage_plan counts any plan file as done, so it must be whole.
+                atomic_write(plans_dir / f"{stem}.plan", result.plan_text)
             length = "-" if result.plan_text is None else result.plan_text.count("\n")
-            log.write(
-                f"{problem_paths[index].stem} {result.status} "
-                f"{result.wall_time:.3f} {length}\n"
-            )
+            log.write(f"{stem} {result.status} {result.wall_time:.3f} {length}\n")
             log.flush()
         tally = Counter(result.status for result in results)
         counts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))

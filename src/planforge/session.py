@@ -132,7 +132,7 @@ class Session:
             raise StageError(f"input file not found: {source}")
         if not dest.exists():
             return False
-        if dest.read_text() != source.read_text():
+        if dest.read_bytes() != source.read_bytes():
             raise StageError(
                 f"{dest.name} already in session {self.root} differs from "
                 f"{source}; use a fresh session directory"
@@ -285,9 +285,8 @@ def stage_plan(
             log_path=session.planning_log,
         )
     tally = dict(Counter(entry.status for entry in entries))
-    planned = sum(
-        1 for p in problems if (session.plans_dir / f"{p.stem}.plan").exists()
-    )
+    # Only a solved result writes a plan file.
+    planned = len(problems) - attempted + tally.get("solved", 0)
     session.write_marker(
         "plan",
         fingerprint,

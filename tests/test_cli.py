@@ -141,6 +141,20 @@ def test_gen_problems_stage_error_exits_2(tmp_path, capsys):
     assert "use a fresh session directory" in err
 
 
+def test_gen_problems_refuses_a_session_copy_that_is_not_utf8(tmp_path, capsys):
+    session = tmp_path / "s1"
+    argv = ["gen-problems", "--config", ARTIC3_CONFIG, "--domain", ARTIC3_DOMAIN,
+            "--count", "2", "--seed", "5", "--session", str(session)]
+    assert main(argv) == 0
+    (session / "domain.pddl").write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: domain.pddl already in session {session} differs from "
+        f"{ARTIC3_DOMAIN}; use a fresh session directory\n"
+    )
+
+
 def test_gen_problems_names_a_bad_config_and_adopts_nothing(tmp_path, capsys):
     raw = json.loads(Path(ARTIC3_CONFIG).read_text())
     raw["object_pools"][0]["quantity"] = 0

@@ -180,14 +180,25 @@ def test_solve_reads_plan_file(tmp_path, artic3_domain_text, micro_text):
 
 def test_solve_reads_stdout(tmp_path, artic3_domain_text, micro_text):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    probe = "".join(f"{i}: {step} [1]\n" for i, step in enumerate(MICRO_PLAN.splitlines()))
     adapter = make_stub_adapter(
-        tmp_path,
-        f"print('0: (grasp gripper1 gripper2) [1]')\nprint('plan cost: 1')\n",
+        tmp_path, f"print({probe!r})\nprint('plan cost: 4')\n",
         output="stdout", dialect="probe",
     )
     result = solve(adapter, domain_path, problem_path)
     assert result.status == "solved"
-    assert result.plan_text == "(grasp gripper1 gripper2)\n"
+    assert result.plan_text == MICRO_PLAN
+
+
+def test_solve_validates_an_external_plan(tmp_path, artic3_domain_text, micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    adapter = make_stub_adapter(
+        tmp_path, "open(OUTPUT, 'w').write('(release gripper1 gripper2)\\n')\n",
+    )
+    result = solve(adapter, domain_path, problem_path)
+    assert result.status == "invalid"
+    assert result.plan_text is None
+    assert result.detail.startswith("step 0: ")
 
 
 def test_solve_timeout(tmp_path, artic3_domain_text, micro_text):
@@ -618,6 +629,57 @@ def test_plan_batch_rejects_invalid_plans(tmp_path, artic3_domain_text, micro_te
     assert entry.detail.startswith("step 0: ")
     assert not list((tmp_path / "plans").iterdir())
     assert " invalid " in (tmp_path / "planning.log").read_text()
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+def test_a_problem_that_does_not_parse_is_crashed_and_named(
+    tmp_path, artic3_domain_text, micro_text, external
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    bad = tmp_path / "bad.pddl"
+    bad.write_text(micro_text.replace("(:init", "(:init (nope)", 1))
+    adapter = load_adapters()["internal"]
+    if external:
+        adapter = make_stub_adapter(tmp_path, f"open(OUTPUT, 'w').write({MICRO_PLAN!r})\n")
+    crashed, solved = plan_batch(adapter, domain_path, [bad, problem_path],
+                                 tmp_path / "plans")
+    assert crashed.status == "crashed"
+    assert crashed.detail.startswith(f"{bad}: line ")
+    assert "unknown predicate 'nope'" in crashed.detail
+    assert (solved.status, solved.plan_text) == ("solved", MICRO_PLAN)
+    assert [p.name for p in (tmp_path / "plans").iterdir()] == ["problem.plan"]
+
+
+def test_solve_names_a_domain_it_cannot_read(tmp_path, artic3_domain_text, micro_text):
+    _, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    missing = tmp_path / "missing.pddl"
+    result = solve(load_adapters()["internal"], missing, problem_path)
+    assert result.status == "crashed"
+    assert result.detail == f"{missing}: cannot read: No such file or directory"
+
+
+def test_the_batch_process_neither_parses_problems_nor_validates(
+    tmp_path, artic3_domain_text, micro_text, monkeypatch
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    calls = []
+
+    def counted(name):
+        original = getattr(drivers, name)
+
+        def count(*args):
+            calls.append(name)
+            return original(*args)
+        return count
+
+    for name in ("parse_problem", "validate"):
+        monkeypatch.setattr(drivers, name, counted(name))
+    stub = make_stub_adapter(tmp_path, f"open(OUTPUT, 'w').write({MICRO_PLAN!r})\n")
+    for adapter in (load_adapters()["internal"], stub):
+        (entry,) = plan_batch(adapter, domain_path, [problem_path],
+                              tmp_path / adapter.name)
+        assert entry.status == "solved"
+    assert calls == []
 
 
 def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_text,

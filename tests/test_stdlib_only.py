@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -41,3 +42,9 @@ def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject's requires-python floor; feature_version rejects later syntax
+    for path in sorted((SRC / "planforge").rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
