@@ -182,12 +182,13 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_refplan(args) -> int:
+    from planforge import parse_file
     from planforge.drivers import ExpansionBudgetExceeded, reference_plan
     from planforge.pddl.parser import parse_domain, parse_problem
     from planforge.plans import render_plan
 
-    domain = parse_domain(Path(args.domain).read_text())
-    problem = parse_problem(Path(args.problem).read_text(), domain)
+    domain = parse_file(args.domain, parse_domain)
+    problem = parse_file(args.problem, lambda text: parse_problem(text, domain))
     try:
         plan = reference_plan(domain, problem, max_expansions=args.max_expansions)
     except ExpansionBudgetExceeded as err:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from planforge import atomic_write
+from planforge import atomic_write, parse_file
 from planforge.generate import fingerprint_problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
@@ -53,8 +53,8 @@ def build_records(
     Problems without a plan file, or with an empty plan (trivial goals), are
     skipped and reported so the caller can regenerate replacements.
     """
-    domain_text = Path(domain_path).read_text()
-    domain_name = parse_domain(domain_text).name
+    domain_text, domain_name = parse_file(
+        domain_path, lambda text: (text, parse_domain(text).name))
     plans_dir = Path(plans_dir)
     records: list[DatasetRecord] = []
     skipped: list[str] = []
@@ -64,7 +64,7 @@ def build_records(
         if not plan_path.exists():
             skipped.append(pid)
             continue
-        plan_text = plan_path.read_text()
+        plan_text = parse_file(plan_path, str)
         if not plan_text.strip():
             skipped.append(pid)
             continue
@@ -73,7 +73,7 @@ def build_records(
                 domain_name=domain_name,
                 problem_id=pid,
                 instruction=domain_text,
-                input=problem_path.read_text(),
+                input=parse_file(problem_path, str),
                 output=plan_text,
             )
         )

@@ -259,8 +259,10 @@ def parse_config(text: str) -> GeneratorConfig:
             errors.append(Diagnostic(
                 path, f"{len(group.members)} member(s) but {len(group.weights)} weight(s)"
             ))
-        for member in group.members:
-            if member not in seen_pp:
+        for j, member in enumerate(group.members):
+            if member in group.members[:j]:
+                errors.append(Diagnostic(f"{path}.members", "duplicate members in mutex group"))
+            elif member not in seen_pp:
                 errors.append(Diagnostic(f"{path}.members",
                                          f"unknown predicate pool '{member}'"))
             elif member in grouped:
@@ -272,8 +274,6 @@ def parse_config(text: str) -> GeneratorConfig:
                 )
             else:
                 grouped[member] = group.id
-        if len(set(group.members)) != len(group.members):
-            errors.append(Diagnostic(f"{path}.members", "duplicate members in mutex group"))
         groups.append(group)
 
     if errors:

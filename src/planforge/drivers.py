@@ -4,7 +4,7 @@ Adapters describe external planners as command templates; every invocation is
 a subprocess in its own process group with a hard timeout, and wall time is
 measured here so that all planners are timed the same way.  ``solve`` alone
 decides each status: an unreadable input, a nonzero exit, spawn failure or
-output that cannot be normalized or parsed is ``crashed``, a recognized
+output that cannot be decoded, normalized or parsed is ``crashed``, a recognized
 no-plan message ``no_solution``, and a plan ``solved`` or ``invalid``.
 
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
@@ -196,27 +196,26 @@ def solve(
 ) -> SolveResult:
     """Run one planner invocation with a hard timeout, and check its plan.
 
-    The domain and the problem are read once, here: one that cannot be is
-    ``crashed``, its detail starting with the file's path.  A plan is then
-    ``solved`` if it validates against them, else ``invalid`` with the
-    validator's ``step N: ...`` as detail."""
+    The domain and the problem are read once, here.  A ValueError while
+    reading or parsing them, running the planner or parsing its plan, such
+    as an input that cannot be read (named by its path) or planner output
+    that is not UTF-8, is ``crashed``, timed from this call's start.  A plan
+    is then ``solved`` if it validates against them, else ``invalid`` with
+    the validator's ``step N: ...`` as detail."""
     timeout = timeout if timeout is not None else adapter.timeout
     start = time.perf_counter()
     try:
         domain = parse_file(domain_path, parse_domain)
         problem = parse_file(problem_path, lambda text: parse_problem(text, domain))
-    except ValueError as err:
-        return SolveResult("crashed", None, time.perf_counter() - start, str(err))
-    if runs_in_process(adapter):
-        result = _solve_in_process(domain, problem, timeout)
-    else:
-        result = _run_planner(adapter, domain_path, problem_path, timeout)
-    if result.status != "solved":
-        return result
-    try:
+        if runs_in_process(adapter):
+            result = _solve_in_process(domain, problem, timeout)
+        else:
+            result = _run_planner(adapter, domain_path, problem_path, timeout)
+        if result.status != "solved":
+            return result
         steps = parse_plan(result.plan_text)
     except ValueError as err:
-        return SolveResult("crashed", None, result.wall_time, str(err))
+        return SolveResult("crashed", None, time.perf_counter() - start, str(err))
     outcome = validate(domain, problem, steps)
     if not outcome.valid:
         return SolveResult("invalid", None, result.wall_time, outcome.message)
@@ -225,7 +224,9 @@ def solve(
 
 def _run_planner(adapter: PlannerAdapter, domain_path: str | Path,
                  problem_path: str | Path, timeout: float) -> SolveResult:
-    """An external planner's result; ``solved`` holds its normalized output."""
+    """An external planner's result; ``solved`` holds its normalized output.
+    Output that is not UTF-8 or does not normalize is a ValueError, raised
+    once the planner is killed and reaped."""
     with tempfile.TemporaryDirectory(prefix="planforge-solve-") as tmp:
         output_path = Path(tmp) / "plan.out"
         mapping = {
@@ -277,10 +278,7 @@ def _run_planner(adapter: PlannerAdapter, domain_path: str | Path,
             payload = output_path.read_text()
         else:
             payload = stdout
-        try:
-            return SolveResult("solved", normalize_output(payload, adapter.dialect), wall)
-        except NormalizationError as err:
-            return SolveResult("crashed", None, wall, str(err))
+        return SolveResult("solved", normalize_output(payload, adapter.dialect), wall)
 
 
 def _kill_group(pgid: int) -> None:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from planforge import atomic_write
+from planforge import atomic_write, parse_file
 from planforge.dpgc import GeneratorConfig, ObjectPool, PredicatePool, validate_against_domain
 from planforge.pddl.ground import goal_satisfied
 from planforge.pddl.model import Atom, Domain, Literal, Problem
@@ -215,7 +215,7 @@ def generate_batch(
     problems_dir.mkdir(parents=True, exist_ok=True)
     journal: list[str] = []
     if journal_path.exists():
-        journal = journal_path.read_text().split()
+        journal = parse_file(journal_path, str).split()
         # A crash mid-append can leave a torn final line; drop it and let the
         # replay re-emit that problem (its file, if any, is rewritten as-is).
         # Whole or not at all: a crash during a plain rewrite could tear the

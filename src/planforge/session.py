@@ -188,8 +188,8 @@ def stage_generate(
     fingerprint = stage_fingerprint(
         {
             "stage": "generate",
-            "config": session.config_path.read_text(),
-            "domain": session.domain_path.read_text(),
+            "config": parse_file(session.config_path, str),
+            "domain": parse_file(session.domain_path, str),
             "seed": str(seed),
         }
     )
@@ -215,23 +215,11 @@ def stage_generate(
         )
     except GenerationError as err:
         raise StageError(str(err)) from err
-    session.write_marker(
-        "generate",
-        fingerprint,
-        count=count,
-        seed=str(seed),
-        new=result.new_emissions,
-        replayed=result.replayed,
-        duplicates=result.duplicates,
-        trivial=result.trivial,
-    )
-    return {
-        "skipped": False,
-        "count": count,
-        "new": result.new_emissions,
-        "replayed": result.replayed,
-        "trivial": result.trivial,
-    }
+    counts = {"new": result.new_emissions, "replayed": result.replayed,
+              "duplicates": result.duplicates, "trivial": result.trivial}
+    session.write_marker("generate", fingerprint, count=count, seed=str(seed), **counts)
+    del counts["duplicates"]  # kept in the marker only
+    return {"skipped": False, "count": count, **counts}
 
 
 def stage_plan(
@@ -247,8 +235,9 @@ def stage_plan(
 
     Plans are only written if they validate, so rerunning after an
     interruption picks up exactly the unplanned remainder.  A session keeps
-    the adapter it was first planned with; another one is refused, so that
-    plans from different planners never mix.
+    the adapter it was first planned with, bound by a marker written before
+    the first plan; another one is refused, so that plans from different
+    planners never mix, even after an interruption.
     """
     if not session.domain_path.exists():
         raise StageError(f"session {session.root} has no domain.pddl")
@@ -259,11 +248,13 @@ def stage_plan(
         {
             "stage": "plan",
             "adapter": adapter.name,
-            "domain": session.domain_path.read_text(),
+            "domain": parse_file(session.domain_path, str),
         }
     )
     marker = session.read_marker("plan")
-    if marker is not None and marker["fingerprint"] != fingerprint:
+    if marker is None:
+        session.write_marker("plan", fingerprint, adapter=adapter.name)
+    elif marker["fingerprint"] != fingerprint:
         raise StageError(
             f"session {session.root} was planned with adapter "
             f"'{marker.get('adapter')}', not '{adapter.name}'; use a fresh session "
@@ -287,22 +278,10 @@ def stage_plan(
     tally = dict(Counter(entry.status for entry in entries))
     # Only a solved result writes a plan file.
     planned = len(problems) - attempted + tally.get("solved", 0)
-    session.write_marker(
-        "plan",
-        fingerprint,
-        adapter=adapter.name,
-        problems=len(problems),
-        planned=planned,
-        attempted=attempted,
-        tally=tally,
-    )
-    return {
-        "problems": len(problems),
-        "planned": planned,
-        "attempted": attempted,
-        "shortfall": len(problems) - planned,
-        "tally": tally,
-    }
+    counts = {"problems": len(problems), "planned": planned,
+              "attempted": attempted, "tally": tally}
+    session.write_marker("plan", fingerprint, adapter=adapter.name, **counts)
+    return {**counts, "shortfall": len(problems) - planned}
 
 
 def collect_records(session: Session):
@@ -425,7 +404,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
             "quotas": quotas,
             "adapter": adapter.name,
             "domains": [
-                Path(e["domain"]).read_text() + Path(e["dpgc"]).read_text()
+                parse_file(e["domain"], str) + parse_file(e["dpgc"], str)
                 for e in config["domains"]
             ],
         }

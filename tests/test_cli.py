@@ -627,3 +627,56 @@ def test_pipeline_names_a_domain_that_does_not_parse(tmp_path, capsys):
     }))
     assert main(["pipeline", "--config", str(config), "--session", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {domain}: line 1, col 72: unknown predicate 'q'\n"
+
+
+# Every session file and input that does not read or parse is named.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position"
+
+
+def test_assemble_names_a_plan_that_is_not_utf8(tmp_path, capsys):
+    session = tmp_path / "s"
+    assert main(_gen_problems(session)) == 0
+    plans = session / "plans"
+    plans.mkdir()
+    first, second = sorted((session / "problems").iterdir())
+    (plans / f"{first.stem}.plan").write_text(MICRO_PLAN)
+    bad = plans / f"{second.stem}.plan"
+    bad.write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(["assemble", "--session", str(session), "--out", str(tmp_path / "d"),
+                 "--train", "1", "--seed", "9"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {NOT_UTF8} 0: invalid start byte\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_plan_names_a_session_domain_that_is_not_utf8(tmp_path, capsys):
+    session = tmp_path / "s"
+    assert main(_gen_problems(session)) == 0
+    (session / "domain.pddl").write_bytes(b"\xff")
+    capsys.readouterr()
+    assert main(["plan", "--session", str(session)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {session / 'domain.pddl'}: {NOT_UTF8} 0: invalid start byte\n")
+    assert not (session / "plans").exists()
+
+
+def test_gen_problems_names_a_journal_that_is_not_utf8(tmp_path, capsys):
+    session = tmp_path / "s"
+    assert main(_gen_problems(session)) == 0
+    journal = session / "journal.fp"
+    with open(journal, "ab") as out:
+        out.write(b"\xff\n")
+    capsys.readouterr()
+    top_up = _gen_problems(session)
+    top_up[top_up.index("--count") + 1] = "3"
+    assert main(top_up) == 2
+    assert capsys.readouterr().err.startswith(f"error: {journal}: {NOT_UTF8} ")
+
+
+def test_refplan_names_a_domain_that_does_not_parse(tmp_path, capsys):
+    code = main(["refplan", "--domain", MICRO_PROBLEM, "--problem", MICRO_PROBLEM,
+                 "--output", str(tmp_path / "out.plan")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {MICRO_PROBLEM}: line 3, col 9: expected (domain NAME)\n")
+    assert not (tmp_path / "out.plan").exists()

@@ -249,6 +249,12 @@ def test_mutex_group_errors():
     assert any("duplicate members" in m for m in msgs)
 
 
+def test_a_repeated_mutex_member_gets_one_diagnostic():
+    msgs = errors_of(variant(mutex_groups=[
+        {"id": "g", "members": ["poses", "poses"], "weights": [1, 1]}]))
+    assert msgs == ["config.mutex_groups[0].members: error: duplicate members in mutex group"]
+
+
 def test_parse_ground_atom():
     assert parse_ground_atom(" (Next-CW A1 A2) ") == ("next-cw", "a1", "a2")
     assert parse_ground_atom("(held)") == ("held",)

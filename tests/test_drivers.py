@@ -682,6 +682,32 @@ def test_the_batch_process_neither_parses_problems_nor_validates(
     assert calls == []
 
 
+@pytest.mark.parametrize("output", ["file", "stdout"])
+def test_output_that_is_not_utf8_is_crashed_and_the_worker_stays(
+    tmp_path, artic3_domain_text, micro_text, output
+):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    workers = tmp_path / "workers"
+    out = "sys.stdout.buffer" if output == "stdout" else "open(OUTPUT, 'wb')"
+    # each planner notes its parent, the pool worker that runs it
+    adapter = make_stub_adapter(
+        tmp_path,
+        f"import os\nopen({str(workers)!r}, 'a').write(f'{{os.getppid()}}\\n')\n"
+        f"{out}.write(b'\\xff(grasp)\\n')\n",
+        output=output,
+    )
+    with PlannerPool(1) as pool:
+        results = plan_batch(adapter, domain_path, [problem_path, problem_path],
+                             tmp_path / "plans", pool=pool)
+    assert [r.status for r in results] == ["crashed", "crashed"]
+    assert all("'utf-8' codec can't decode byte 0xff" in r.detail for r in results)
+    assert all(r.wall_time > 0 for r in results)
+    first, second = workers.read_text().split()
+    assert first == second
+    assert not (tmp_path / "plans" / "problem.plan").exists()
+    _nothing_outlives_the_pool()
+
+
 def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_text,
                                                 artic3_config):
     root = tmp_path / "s"

@@ -228,6 +228,34 @@ def test_stage_plan_solves_and_resumes(planned_session):
     assert session.read_marker("plan")["adapter"] == "internal"
 
 
+def test_an_interrupted_plan_stage_keeps_its_adapter(tmp_path, monkeypatch):
+    session = Session(tmp_path / "artic3")
+    stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 4, 17)
+    internal = load_adapters()["internal"]
+    write_text = Path.write_text
+    plan_writes = []
+
+    def failing(path, data, *args, **kwargs):
+        # the disk fills up at the second plan
+        if path.parent == session.plans_dir:
+            plan_writes.append(path)
+            if len(plan_writes) == 2:
+                raise OSError("no space left on device")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    with pytest.raises(OSError, match="no space left"):
+        stage_plan(session, internal)
+    monkeypatch.undo()
+    assert len(list(session.plans_dir.glob("*.plan"))) == 1
+    other = dataclasses.replace(internal, name="other")
+    with pytest.raises(StageError, match="planned with adapter 'internal'"):
+        stage_plan(session, other)
+    assert len(list(session.plans_dir.glob("*.plan"))) == 1
+    assert stage_plan(session, internal)["planned"] == 4
+    assert session.read_marker("plan")["adapter"] == "internal"
+
+
 def test_stage_plan_requires_problems(tmp_path):
     session = Session(tmp_path / "s")
     session.root.mkdir()

@@ -48,3 +48,40 @@ def test_every_module_parses_as_python_3_10():
     # pyproject's requires-python floor; feature_version rejects later syntax
     for path in sorted((SRC / "planforge").rglob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+# Inputs are read through ``planforge.parse_file``, which names the file it
+# cannot read or parse.  These raw reads, as (module, function, method), are
+# the exceptions: JSON readers with their own naming, byte comparisons and
+# copies, and the external planner's output.
+RAW_READS = {
+    ("__init__.py", "parse_file", "read_text"),
+    ("shape.py", "load", "read_text"),
+    ("dpgc.py", "load_config", "read_text"),
+    ("session.py", "Session.holds_input", "read_bytes"),
+    ("session.py", "Session.adopt_input", "read_bytes"),
+    ("generate.py", "generate_batch", "read_bytes"),
+    ("drivers.py", "_run_planner", "read_text"),
+}
+
+
+def _raw_reads(node: ast.AST, module: str, scope: tuple[str, ...] = ()):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raw_reads(child, module, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("read_text", "read_bytes")):
+            yield module, ".".join(scope), child.func.attr
+        yield from _raw_reads(child, module, scope)
+
+
+def test_inputs_are_read_only_through_the_named_readers():
+    package = SRC / "planforge"
+    found = {
+        read
+        for path in sorted(package.rglob("*.py"))
+        for read in _raw_reads(ast.parse(path.read_text()),
+                               path.relative_to(package).as_posix())
+    }
+    assert sorted(found - RAW_READS) == []
