@@ -1,5 +1,6 @@
 """Data factory and evaluation harness for task-planning datasets."""
 
+import io
 import os
 from collections.abc import Callable
 from pathlib import Path
@@ -15,16 +16,30 @@ def assets_dir() -> Path:
     return Path(__file__).resolve().parent / "assets"
 
 
-def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
-    """``parse`` of the text of the file ``path``.  A ValueError from
-    either, such as a parse error or bytes that are not UTF-8, or a file that
-    cannot be read, is raised again as a ValueError that begins ``<path>: ``."""
+def read_file(path: str | Path, parse: Callable[[str], _T]) -> tuple[bytes, str, _T]:
+    """The bytes of the file ``path``, their text (see ``decode``) and
+    ``parse`` of it.  A ValueError from either, such as bytes that are not
+    UTF-8 or a parse error, or a file that cannot be read, is raised again
+    as a ValueError that begins ``<path>: ``."""
     try:
-        return parse(Path(path).read_text())
+        data = Path(path).read_bytes()
+        text = decode(data)
+        return data, text, parse(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
     except OSError as err:
         raise ValueError(f"{path}: cannot read: {err.strerror or err}") from err
+
+
+def parse_file(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the text of the file ``path``; see ``read_file``."""
+    return read_file(path, parse)[2]
+
+
+def decode(data: bytes) -> str:
+    """``data`` decoded as ``Path.read_text`` decodes a file: in the
+    locale's encoding, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from planforge import atomic_write, parse_file
+from planforge import atomic_write, parse_file, read_file
 from planforge.generate import fingerprint_problem
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import validate
@@ -53,8 +53,7 @@ def build_records(
     Problems without a plan file, or with an empty plan (trivial goals), are
     skipped and reported so the caller can regenerate replacements.
     """
-    domain_text, domain_name = parse_file(
-        domain_path, lambda text: (text, parse_domain(text).name))
+    _, domain_text, domain = read_file(domain_path, parse_domain)
     plans_dir = Path(plans_dir)
     records: list[DatasetRecord] = []
     skipped: list[str] = []
@@ -70,7 +69,7 @@ def build_records(
             continue
         records.append(
             DatasetRecord(
-                domain_name=domain_name,
+                domain_name=domain.name,
                 problem_id=pid,
                 instruction=domain_text,
                 input=parse_file(problem_path, str),

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from planforge import decode
 from planforge.pddl.model import Atom, Domain, is_known_type_in
 from planforge.shape import ABOVE_ZERO, Array, Diagnostic, Number, Object, OneOf, check
 
@@ -290,10 +291,18 @@ def parse_config(text: str) -> GeneratorConfig:
 
 
 def load_config(path: str | Path) -> GeneratorConfig:
-    """The config in the file ``path``.  A ConfigError names the file on
-    each line, as ``<file>: config.<place>: error: <message>``."""
+    """The config in the file ``path``; see ``read_config``."""
+    return read_config(path)[2]
+
+
+def read_config(path: str | Path) -> tuple[bytes, str, GeneratorConfig]:
+    """The bytes of the file ``path``, their text (see ``decode``) and the
+    config it holds.  A ConfigError names the file on each line, as
+    ``<file>: config.<place>: error: <message>``."""
     try:
-        return parse_config(Path(path).read_text())
+        data = Path(path).read_bytes()
+        text = decode(data)
+        return data, text, parse_config(text)
     except OSError as err:
         diagnostics = [Diagnostic("config", f"cannot read: {err.strerror or err}")]
     except UnicodeDecodeError as err:

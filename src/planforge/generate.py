@@ -32,10 +32,6 @@ def fingerprint_text(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _is_fingerprint(token: str) -> bool:
-    return len(token) == 32 and all(c in "0123456789abcdef" for c in token)
-
-
 def fingerprint_problem(problem: Problem) -> str:
     return fingerprint_text(serialize_problem(problem))
 
@@ -215,14 +211,15 @@ def generate_batch(
     problems_dir.mkdir(parents=True, exist_ok=True)
     journal: list[str] = []
     if journal_path.exists():
-        journal = parse_file(journal_path, str).split()
-        # A crash mid-append can leave a torn final line; drop it and let the
-        # replay re-emit that problem (its file, if any, is rewritten as-is).
-        # Whole or not at all: a crash during a plain rewrite could tear the
-        # last line kept, and the next append would run on from it.
-        if journal and not _is_fingerprint(journal[-1]):
-            journal.pop()
-            atomic_write(journal_path, "".join(fp + "\n" for fp in journal))
+        text = parse_file(journal_path, str)
+        # Only a line that ends in a newline is whole: a crash mid-append can
+        # leave a final segment without one, even a whole fingerprint.  Drop
+        # it and let the replay re-emit that problem.  Whole or not at all: a
+        # crash during a plain rewrite could tear the last line kept.
+        whole = text[: text.rfind("\n") + 1]
+        journal = whole.split()
+        if whole != text:
+            atomic_write(journal_path, whole)
 
     result = GenerationResult()
     seen: set[str] = set()

@@ -3,10 +3,10 @@
 A session is a self-contained working directory.  Single-domain layout:
 
     session/
-      config.dpgc.json   copy of the generation config
-      domain.pddl        copy of the domain
+      config.dpgc.json   the generation config, as the bytes generated from
+      domain.pddl        the domain, as the bytes generated from
       problems/          generated problems
-      journal.fp         fingerprint journal (one line per emission)
+      journal.fp         fingerprint journal (one whole line per emission)
       generation.log
       plans/             validated plans, <problem>.plan
       planning.log
@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from planforge import atomic_write, parse_file
+from planforge import atomic_write, parse_file, read_file
 from planforge.dataset import (
     DatasetError,
     DatasetRecord,
@@ -34,7 +34,7 @@ from planforge.dataset import (
     build_records,
     per_domain_quotas,
 )
-from planforge.dpgc import load_config, validate_against_domain
+from planforge.dpgc import read_config, validate_against_domain
 from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_batch
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
@@ -124,31 +124,6 @@ class Session:
             return []
         return sorted(self.problems_dir.glob("*.pddl"))
 
-    def holds_input(self, source: str | Path, dest: Path) -> bool:
-        """Whether the session already holds ``source`` as ``dest``; refuse
-        a different one, which would desynchronize journal and problems."""
-        source = Path(source)
-        if not source.exists():
-            raise StageError(f"input file not found: {source}")
-        if not dest.exists():
-            return False
-        if dest.read_bytes() != source.read_bytes():
-            raise StageError(
-                f"{dest.name} already in session {self.root} differs from "
-                f"{source}; use a fresh session directory"
-            )
-        return True
-
-    def adopt_input(self, source: str | Path, dest: Path) -> None:
-        """Copy an input file into the session, unless it holds it already
-        (see ``holds_input``)."""
-        if self.holds_input(source, dest):
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Whole or not at all: a torn copy would differ from its source and
-        # make every rerun refuse the session.
-        atomic_write(dest, Path(source).read_bytes())
-
 
 def load_adapter(name: str, registry: str | Path | None = None) -> PlannerAdapter:
     """The adapter called ``name`` in ``registry`` (default: the bundled one)."""
@@ -169,27 +144,38 @@ def stage_generate(
 ) -> dict:
     """Generate problems into the session, resuming from the journal.
 
+    Each input is read once, and the session adopts exactly the bytes it
+    parsed, checked and fingerprints.  It refuses an input that differs
+    from the one it adopted first, then a config that does not fit its
+    domain.
+
     The marker fingerprint covers config, domain and seed but not the count:
     the count is a target, and a later call may raise it and top the session
     up through the same journal replay.
     """
-    # Checked before either is adopted: a session refuses any input that
-    # differs from the one it adopted first, then a config that does not
-    # fit its domain.
-    config = load_config(config_path)
-    domain = parse_file(domain_path, parse_domain)
-    inputs = ((config_path, session.config_path), (domain_path, session.domain_path))
-    for source, dest in inputs:
-        session.holds_input(source, dest)
+    config_data, config_text, config = read_config(config_path)
+    domain_data, domain_text, domain = read_file(domain_path, parse_domain)
+    copies = ((config_path, config_data, session.config_path),
+              (domain_path, domain_data, session.domain_path))
+    for source, data, copy in copies:
+        if copy.exists() and copy.read_bytes() != data:
+            raise StageError(
+                f"{copy.name} already in session {session.root} differs from "
+                f"{source}; use a fresh session directory"
+            )
     refuse(config_path, validate_against_domain(config, domain), StageError)
-    for source, dest in inputs:
-        session.adopt_input(source, dest)
+    session.root.mkdir(parents=True, exist_ok=True)
+    for _, data, copy in copies:
+        if not copy.exists():
+            # Whole or not at all: a torn copy would differ from its source
+            # and make every rerun refuse the session.
+            atomic_write(copy, data)
 
     fingerprint = stage_fingerprint(
         {
             "stage": "generate",
-            "config": parse_file(session.config_path, str),
-            "domain": parse_file(session.domain_path, str),
+            "config": config_text,
+            "domain": domain_text,
             "seed": str(seed),
         }
     )
@@ -352,6 +338,19 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     pipeline = Session(root)
     seed = config["seed"]
     adapter = load_adapter(config["adapter"], config.get("adapters_file"))
+    # Each entry's inputs are read once, before the first round: the domain
+    # names its sub-session, and the text goes into the pipeline marker.
+    names: dict[str, int] = {}
+    texts = []
+    for i, entry in enumerate(config["domains"]):
+        _, domain_text, domain = read_file(entry["domain"], parse_domain)
+        if domain.name in names:
+            raise StageError(
+                f"config.domains[{names[domain.name]}] and config.domains[{i}] "
+                f"both hold domain '{domain.name}'; give each domain one entry"
+            )
+        names[domain.name] = i
+        texts.append(domain_text + read_config(entry["dpgc"])[1])
     quotas = config["quotas"]
     try:
         needed_per_domain = sum(
@@ -363,8 +362,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
     summary: dict = {"domains": {}}
     all_records: list[DatasetRecord] = []
     with PlannerPool(config.get("workers", 1)) as pool:
-        for entry in config["domains"]:
-            domain_name = parse_file(entry["domain"], parse_domain).name
+        for entry, domain_name in zip(config["domains"], names):
             sub = Session(root / domain_name)
             target = entry["count"]
             usable = 0
@@ -403,10 +401,7 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
             "seed": str(seed),
             "quotas": quotas,
             "adapter": adapter.name,
-            "domains": [
-                parse_file(e["domain"], str) + parse_file(e["dpgc"], str)
-                for e in config["domains"]
-            ],
+            "domains": texts,
         }
     )
     pipeline.write_marker("pipeline", fingerprint, summary=summary["dataset"])

@@ -314,6 +314,24 @@ def test_batch_survives_a_crash_while_dropping_a_torn_line(tmp_path, artic3,
     assert (root / "journal.fp").read_text() == (straight / "journal.fp").read_text()
 
 
+def test_batch_drops_a_final_fingerprint_without_its_newline(tmp_path, artic3,
+                                                            artic3_config):
+    straight = tmp_path / "straight"
+    generate_batch(artic3_config, artic3, 8, 7,
+                   straight / "problems", straight / "journal.fp")
+    root = tmp_path / "s"
+    generate_batch(artic3_config, artic3, 4, 7, root / "problems", root / "journal.fp")
+    journal = root / "journal.fp"
+    # the disk fills up after the last fingerprint, before its newline
+    journal.write_bytes(journal.read_bytes()[:-1])
+    # the resume, then a top-up through the journal it left
+    for count in (6, 8):
+        generate_batch(artic3_config, artic3, count, 7,
+                       root / "problems", root / "journal.fp")
+    assert read_dir(root / "problems") == read_dir(straight / "problems")
+    assert journal.read_text() == (straight / "journal.fp").read_text()
+
+
 def test_batch_rewrites_missing_problem_files_on_replay(tmp_path, artic3, artic3_config):
     root = tmp_path / "s"
     generate_batch(artic3_config, artic3, 8, 3,

@@ -137,17 +137,69 @@ def test_stage_fingerprint_is_order_insensitive():
     assert a != stage_fingerprint({"x": 2, "y": "z"})
 
 
-def test_adopt_input_refuses_conflicting_content(tmp_path):
+def test_stage_generate_refuses_a_changed_or_missing_input(tmp_path):
     session = Session(tmp_path / "s")
-    source = tmp_path / "in.txt"
-    source.write_text("one")
-    session.adopt_input(source, session.domain_path)
-    session.adopt_input(source, session.domain_path)  # identical: fine
-    source.write_text("two")
+    source = tmp_path / "in.pddl"
+    source.write_bytes(ARTIC3_DOMAIN.read_bytes())
+    stage_generate(session, ARTIC3_CONFIG, source, 2, 5)
+    stage_generate(session, ARTIC3_CONFIG, source, 2, 5)  # identical: fine
+    source.write_bytes(ARTIC3_DOMAIN.read_bytes() + b"\n")
     with pytest.raises(StageError, match="use a fresh session directory"):
-        session.adopt_input(source, session.domain_path)
-    with pytest.raises(StageError, match="not found"):
-        session.adopt_input(tmp_path / "missing.txt", session.config_path)
+        stage_generate(session, ARTIC3_CONFIG, source, 2, 5)
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{missing}: config: error: cannot read: No such file or directory")):
+        stage_generate(session, missing, ARTIC3_DOMAIN, 2, 5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{missing}: cannot read: No such file or directory")):
+        stage_generate(session, ARTIC3_CONFIG, missing, 2, 5)
+
+
+def test_stage_generate_adopts_the_bytes_it_generated_from(tmp_path, monkeypatch):
+    import planforge.session as session_module
+
+    straight = Session(tmp_path / "straight")
+    stage_generate(straight, ARTIC3_CONFIG, ARTIC3_DOMAIN, 4, 7)
+    config = tmp_path / "artic3.dpgc.json"
+    domain = tmp_path / "artic3.pddl"
+    originals = {config: ARTIC3_CONFIG.read_bytes(), domain: ARTIC3_DOMAIN.read_bytes()}
+    for path, data in originals.items():
+        path.write_bytes(data)
+    parse = session_module.parse_domain
+    edits = []
+
+    def edit_after_reading(text):
+        # both sources change once the stage has read them
+        if not edits:
+            for path, data in originals.items():
+                edits.append(path.write_bytes(data + b"\n"))
+        return parse(text)
+
+    monkeypatch.setattr(session_module, "parse_domain", edit_after_reading)
+    session = Session(tmp_path / "s")
+    stage_generate(session, config, domain, 4, 7)
+    monkeypatch.undo()
+    assert edits
+    assert session.config_path.read_bytes() == originals[config]
+    assert session.domain_path.read_bytes() == originals[domain]
+    assert ({p.name: p.read_bytes() for p in session.problem_paths()}
+            == {p.name: p.read_bytes() for p in straight.problem_paths()})
+    # the inputs the problems came from still fit the session
+    assert stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 4, 7)["skipped"]
+
+
+def test_stage_generate_fingerprints_crlf_inputs_as_read_text(tmp_path):
+    config = tmp_path / "artic3.dpgc.json"
+    domain = tmp_path / "artic3.pddl"
+    for path, source in ((config, ARTIC3_CONFIG), (domain, ARTIC3_DOMAIN)):
+        path.write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    session = Session(tmp_path / "s")
+    stage_generate(session, config, domain, 2, 5)
+    assert session.read_marker("generate")["fingerprint"] == stage_fingerprint(
+        {"stage": "generate", "config": config.read_text(),
+         "domain": domain.read_text(), "seed": "5"})
+    assert session.config_path.read_bytes() == config.read_bytes()
+    assert session.domain_path.read_bytes() == domain.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +311,7 @@ def test_an_interrupted_plan_stage_keeps_its_adapter(tmp_path, monkeypatch):
 def test_stage_plan_requires_problems(tmp_path):
     session = Session(tmp_path / "s")
     session.root.mkdir()
-    session.adopt_input(ARTIC3_DOMAIN, session.domain_path)
+    session.domain_path.write_bytes(ARTIC3_DOMAIN.read_bytes())
     with pytest.raises(StageError, match="no problems to plan"):
         stage_plan(session, load_adapters()["internal"])
 
@@ -451,3 +503,16 @@ def test_run_pipeline_rejects_unknown_split_names(tmp_path):
         with pytest.raises(StageError, match=f"split '{name}' is not one of"):
             run_pipeline(config, tmp_path / "run")
         assert not (tmp_path / "run").exists()  # refused before any work
+
+
+def test_run_pipeline_refuses_a_domain_named_twice(tmp_path):
+    again = tmp_path / "again.pddl"
+    again.write_bytes(ARTIC3_DOMAIN.read_bytes())
+    path = write_pipeline_config(tmp_path, domains=[
+        {"domain": str(ARTIC3_DOMAIN), "dpgc": str(ARTIC3_CONFIG), "count": 2},
+        {"domain": str(again), "dpgc": str(ARTIC3_CONFIG), "count": 2},
+    ], quotas={"train": 2})
+    with pytest.raises(StageError, match=re.escape(
+            "config.domains[0] and config.domains[1] both hold domain 'artic3'")):
+        run_pipeline(load_pipeline_config(path), tmp_path / "run")
+    assert not (tmp_path / "run").exists()  # refused before any work

@@ -50,16 +50,15 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
-# Inputs are read through ``planforge.parse_file``, which names the file it
+# Inputs are read through ``planforge.read_file``, which names the file it
 # cannot read or parse.  These raw reads, as (module, function, method), are
-# the exceptions: JSON readers with their own naming, byte comparisons and
-# copies, and the external planner's output.
+# the exceptions: readers with their own naming, byte comparisons, and the
+# external planner's output.
 RAW_READS = {
-    ("__init__.py", "parse_file", "read_text"),
+    ("__init__.py", "read_file", "read_bytes"),
     ("shape.py", "load", "read_text"),
-    ("dpgc.py", "load_config", "read_text"),
-    ("session.py", "Session.holds_input", "read_bytes"),
-    ("session.py", "Session.adopt_input", "read_bytes"),
+    ("dpgc.py", "read_config", "read_bytes"),
+    ("session.py", "stage_generate", "read_bytes"),
     ("generate.py", "generate_batch", "read_bytes"),
     ("drivers.py", "_run_planner", "read_text"),
 }
