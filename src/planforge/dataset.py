@@ -30,7 +30,7 @@ class DatasetError(ValueError):
 
 # What ``assemble`` reads of the manifest a previous run left: the files it
 # lists.
-_MANIFEST = Object({"files": Map("string")}, ("files",), open=True)
+_MANIFEST = Object({"files": Map("file")}, ("files",), open=True)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ def build_records(
     """Pair problems with their plan files; nothing is parsed but the
     domain, for its name.
 
-    Problems without a plan file, or with an empty plan (trivial goals), are
-    skipped and reported so the caller can regenerate replacements.
+    A problem whose plan is empty (a trivial goal) is skipped and reported,
+    so the caller can regenerate a replacement; a problem without a plan
+    file counts as one with an empty plan.
     """
     _, domain_text, domain = read_file(domain_path, parse_domain)
     plans_dir = Path(plans_dir)
@@ -60,10 +61,7 @@ def build_records(
     for problem_path in problem_paths:
         pid = problem_path.stem
         plan_path = plans_dir / f"{pid}.plan"
-        if not plan_path.exists():
-            skipped.append(pid)
-            continue
-        plan_text = parse_file(plan_path, str)
+        plan_text = parse_file(plan_path, str) if plan_path.exists() else ""
         if not plan_text.strip():
             skipped.append(pid)
             continue
@@ -136,16 +134,20 @@ def assemble(
     seed: int | str,
     out_dir: str | Path,
 ) -> dict:
-    """Write quota-exact split files plus spillover and a manifest.
+    """Write quota-exact split files, spillover and a manifest.
 
-    Each file is written whole or not at all, the manifest last.  Files that
-    the previous manifest in ``out_dir`` lists and this run does not write
-    are deleted, so that an audit sees only this run's splits.
+    Each domain's records, in a seeded shuffle, fill the splits in quota
+    order with its equal share of each quota; spillover, the last split,
+    takes what they leave.  Each split is then shuffled to mix its domains
+    and written whole or not at all, the manifest last.  An empty spillover
+    gets no file and no entry in the manifest's ``files`` and ``splits``.
+    Files that the previous manifest in ``out_dir`` lists and this run does
+    not write are deleted, so that an audit sees only this run's splits.
 
     Raises DatasetError on bad quotas (see ``per_domain_quotas``), on the
     first record in input order that ``check_record`` refuses or that
     repeats an earlier problem, on unmet quotas, or on a previous manifest
-    whose ``files`` is not a map of names.  Only each record's
+    whose ``files`` is not a map of plain file names.  Only each record's
     fingerprint is kept, so memory is bounded by the record texts.
     """
     out_dir = Path(out_dir)
@@ -178,22 +180,20 @@ def assemble(
                 f"the quotas require {total_needed}"
             )
 
-    splits: dict[str, list[DatasetRecord]] = {name: [] for name in quotas}
-    spillover: list[DatasetRecord] = []
+    splits: dict[str, list[DatasetRecord]] = {name: [] for name in (*quotas, "spillover")}
     for domain in domains:
         ordered = sorted(groups[domain], key=lambda r: r.problem_id)
         random.Random(f"{seed}:{domain}").shuffle(ordered)
         cursor = 0
-        for name in quotas:
-            take = need_per_domain[name]
-            splits[name].extend(ordered[cursor:cursor + take])
+        for name, chosen in splits.items():
+            take = need_per_domain.get(name, len(ordered))
+            chosen.extend(ordered[cursor:cursor + take])
             cursor += take
-        spillover.extend(ordered[cursor:])
-
     # Mix domains within each split so training order is not blocked.
-    for name in quotas:
-        random.Random(f"{seed}:{name}").shuffle(splits[name])
-    random.Random(f"{seed}:spillover").shuffle(spillover)
+    for name, chosen in splits.items():
+        random.Random(f"{seed}:{name}").shuffle(chosen)
+    # Only spillover can be empty; then it gets no file.
+    splits = {name: chosen for name, chosen in splits.items() if chosen}
 
     manifest: dict = {
         "seed": str(seed),
@@ -201,46 +201,32 @@ def assemble(
         "quotas": dict(quotas),
         "counts": {
             "input": len(records),
-            "spillover": len(spillover),
+            "spillover": len(splits.get("spillover", [])),
             **{name: len(splits[name]) for name in quotas},
         },
         "splits": {},
-        "files": {name: f"{name}.json" for name in quotas},
+        "files": {name: f"{name}.json" for name in splits},
     }
-    if spillover:
-        manifest["files"]["spillover"] = "spillover.json"
 
     # Refused before any split is written, so that out_dir stays as it was.
     manifest_path = out_dir / "manifest.json"
     previous = {"files": {}}
     if manifest_path.exists():
         previous = load(manifest_path, _MANIFEST, "manifest", DatasetError)
-    for name in quotas:
-        chosen = splits[name]
-        per_domain: dict[str, int] = {d: 0 for d in domains}
-        for record in chosen:
-            per_domain[record.domain_name] += 1
+    for name, chosen in splits.items():
         manifest["splits"][name] = {
             "count": len(chosen),
-            "per_domain": per_domain,
+            # Each domain's equal share; spillover has none.
+            **({"per_domain": dict.fromkeys(domains, need_per_domain[name])}
+               if name in quotas else {}),
             "ids": [r.problem_id for r in chosen],
             "fingerprints": [fingerprints[r] for r in chosen],
         }
         atomic_write(
             out_dir / f"{name}.json", json.dumps(to_alpaca(chosen), indent=2) + "\n"
         )
-    if spillover:
-        atomic_write(
-            out_dir / "spillover.json",
-            json.dumps(to_alpaca(spillover), indent=2) + "\n",
-        )
-        manifest["splits"]["spillover"] = {
-            "count": len(spillover),
-            "ids": [r.problem_id for r in spillover],
-            "fingerprints": [fingerprints[r] for r in spillover],
-        }
     for name in set(previous["files"].values()) - set(manifest["files"].values()):
-        (out_dir / Path(name).name).unlink(missing_ok=True)
+        (out_dir / name).unlink(missing_ok=True)
     atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest
 

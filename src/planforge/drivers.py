@@ -49,6 +49,9 @@ OUTPUT_MODES = ("file", "stdout")
 
 _NO_PLAN_MARKERS = ("no plan", "no solution", "unsolvable", "goal is unreachable")
 
+# The placeholders an adapter's command may hold; other braces pass through.
+_PLACEHOLDER_RE = re.compile(r"\{(domain|problem|output|python)\}")
+
 _PROBE_STEP_RE = re.compile(
     r"^(?:\d+(?:\.\d+)?\s*:\s*)?(\([^()]+\))\s*(?:\[\d+(?:\.\d+)?\])?$"
 )
@@ -171,13 +174,6 @@ def normalize_output(text: str, dialect: str) -> str:
     return "".join(s + "\n" for s in steps)
 
 
-def _fill(template: str, mapping: dict[str, str]) -> str:
-    out = template
-    for key, value in mapping.items():
-        out = out.replace("{" + key + "}", value)
-    return out
-
-
 def runs_in_process(adapter: PlannerAdapter) -> bool:
     """Whether ``solve`` runs this adapter's planner without a subprocess."""
     return (
@@ -235,7 +231,9 @@ def _run_planner(adapter: PlannerAdapter, domain_path: str | Path,
             "output": str(output_path),
             "python": sys.executable,
         }
-        cmd = [_fill(arg, mapping) for arg in (adapter.executable, *adapter.args)]
+        # One pass, so that a path holding a placeholder is passed as it is.
+        cmd = [_PLACEHOLDER_RE.sub(lambda m: mapping[m[1]], arg)
+               for arg in (adapter.executable, *adapter.args)]
         start = time.perf_counter()
         try:
             # A process group of its own, so that killing the group kills

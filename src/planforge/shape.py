@@ -3,8 +3,9 @@ pipeline configs and split files.
 
 A kind is an ``Object`` (key -> kind, the required keys, and whether other
 keys pass unchecked), an ``Array`` or a ``Map`` (any key) of one kind, a
-``OneOf`` of values, a ``Number``, a ``Maybe`` (null or a kind), "string" or
-"name" (a non-empty string).  A whole number is an int; true and false are
+``OneOf`` of values, a ``Number``, a ``Maybe`` (null or a kind), "string",
+"name" (a non-empty string) or "file" (a file name with no directory part,
+and not ``.`` or ``..``).  A whole number is an int; true and false are
 not numbers, and no number is NaN, infinite or too large for a float.  Every place that does not fit
 is a ``Diagnostic``, printed ``<place>: error: <message>``.
 """
@@ -87,11 +88,13 @@ def check(value, kind, path: str) -> Iterator[Diagnostic]:
     elif isinstance(kind, Maybe):
         if value is not None:
             yield from check(value, kind.kind, path)
-    elif kind in ("string", "name"):
+    elif kind in ("string", "name", "file"):
         if not isinstance(value, str):
             yield error(f"{value!r} is not of type 'string'")
         elif not value and kind == "name":
             yield error("'' should be non-empty")
+        elif kind == "file" and (value in ("", ".", "..") or Path(value).name != value):
+            yield error(f"{value!r} is not a plain file name")
     else:
         whole, low, high, low_excluded = kind
         if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):

@@ -580,6 +580,25 @@ def test_assemble_refuses_a_manifest_without_files_and_writes_nothing(
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "./train.json", "../train.json", "sub/x.json"],
+                         ids=["empty", "dot", "dot-dot", "dot-slash", "parent", "subdirectory"])
+def test_assemble_refuses_a_manifest_file_that_is_not_a_plain_name_and_writes_nothing(
+        cli_session, tmp_path, capsys, name):
+    out = tmp_path / "dataset"
+    out.mkdir()
+    (out / "train.json").write_text("[]\n")
+    manifest = out / "manifest.json"
+    manifest.write_text(json.dumps({"files": {"train": "train.json", "stale": name}}))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = main(["assemble", "--session", str(cli_session.root), "--out", str(out),
+                 "--train", "2", "--seed", "9"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: manifest.files.stale: error: "
+        f"{name!r} is not a plain file name\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 # Each PDDL file that does not read or parse is named in front of the error.
 UNKNOWN_TYPE = "(define (problem p) (:domain artic3) (:objects a - nosuchtype) (:goal (held)))"
 UNKNOWN_PREDICATE = "(define (domain d) (:predicates (p)) (:action a :parameters () :effect (q)))"

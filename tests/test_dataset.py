@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -154,6 +155,25 @@ def test_assemble_is_deterministic(tmp_path, corpus):
     assemble(records, quotas, "other-seed", tmp_path / "c")
     other = {p.name: p.read_text() for p in sorted((tmp_path / "c").iterdir())}
     assert other != first
+
+
+# The sha256 of each file one fixed assembly writes, with its quotas out of
+# canonical order and a non-empty spillover: a change to how `assemble`
+# fills, shuffles or writes its splits must keep these bytes.
+PINNED_SHA256 = {
+    "manifest.json": "4bf4280225199733c697c3933f472c1edba9066ba8945e7787b8eba62cad6e1e",
+    "spillover.json": "d06a03a28d048c5845404e2a966de7aceb428ab3089ea7616cb47f39abc77e54",
+    "test.json": "259f0c2b2f0e21f1eb593ffbf759eab11faf0fc6764f10caa49511f6051c29a3",
+    "train.json": "05d0c9b85e6997c0c570ed477328baba0e1d22fcefd1eb8c18e3b35425b0d53c",
+    "val.json": "282d33a76beba6947744a9aa1b58911a9abaa9b65204f47967d8edfacf85cfb4",
+}
+
+
+def test_assemble_writes_the_pinned_bytes(tmp_path, corpus):
+    assemble(balanced(corpus), {"val": 4, "train": 10, "test": 2}, "pin", tmp_path)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert written == PINNED_SHA256
 
 
 def test_assemble_mixes_domains_within_a_split(tmp_path, corpus):

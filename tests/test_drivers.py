@@ -363,6 +363,19 @@ def test_in_process_statuses_match_the_subprocess_protocol(
     assert inner.status == "crashed" and "expansion budget" in inner.detail
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
+@pytest.mark.parametrize("placeholder", ["{output}", "{python}", "{problem}"])
+def test_a_path_that_holds_a_placeholder_reaches_the_planner_as_it_is(
+    tmp_path, artic3_domain_text, micro_text, placeholder
+):
+    inputs = tmp_path / placeholder
+    inputs.mkdir()
+    domain_path, problem_path = micro_paths(inputs, artic3_domain_text, micro_text)
+    result = solve(subprocess_refplan(), domain_path, problem_path)
+    assert (result.status, result.detail) == ("solved", "")
+    assert result.plan_text == MICRO_PLAN
+
+
 def test_reference_plan_finds_shortest(artic3, micro):
     plan = reference_plan(artic3, micro)
     expected = sim_shortest_plan(artic3, micro)
