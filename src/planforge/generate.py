@@ -7,12 +7,16 @@ fingerprints) and then continues; the final directory is byte-identical to an
 uninterrupted run.  Problem files are written before their journal line, so a
 journal entry always refers to an existing file.  A config with any
 diagnostic against the domain is refused before the first draw.
+
+A journal line is ``<fp> <index:06d> draws=<n> init=<k> goal=<g>[ trivial]``:
+the fingerprint, the emission index, the draws since draw 0 (so a resumed
+journal is byte-identical too) and the init and goal sizes.  A resume reads
+only the first field, so a journal of bare fingerprints resumes as well.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,14 +197,12 @@ def generate_batch(
     seed: int | str,
     problems_dir: Path,
     journal_path: Path,
-    log_path: Path | None = None,
 ) -> GenerationResult:
     """Emit ``count`` unique problems, resuming from the journal if present.
 
-    The log, if a path is given, gets a header line, one line per new
-    problem and a totals line.  Aborts once ``MAX_CONSECUTIVE_FAILURES``
-    draws in a row produce nothing new, which signals an (almost) exhausted
-    configuration space.
+    Each new problem appends one journal line (see the module docstring).
+    Aborts once ``MAX_CONSECUTIVE_FAILURES`` draws in a row produce nothing
+    new, which signals an (almost) exhausted configuration space.
     """
     diags = validate_against_domain(config, domain)
     if diags:
@@ -217,7 +219,7 @@ def generate_batch(
         # it and let the replay re-emit that problem.  Whole or not at all: a
         # crash during a plain rewrite could tear the last line kept.
         whole = text[: text.rfind("\n") + 1]
-        journal = whole.split()
+        journal = [fields[0] for fields in map(str.split, whole.splitlines()) if fields]
         if whole != text:
             atomic_write(journal_path, whole)
 
@@ -226,12 +228,7 @@ def generate_batch(
     consecutive_failures = 0
     draw_index = 0
 
-    with open(log_path or os.devnull, "a") as log, open(journal_path, "a") as journal_file:
-        log.write(
-            f"# generate domain={config.domain} seed={seed} target={count} "
-            f"resume_at={len(journal)}\n"
-        )
-        log.flush()
+    with open(journal_path, "a") as journal_file:
         while len(seen) < count:
             rng = random.Random(f"{seed}:{draw_index}")
             draw_index += 1
@@ -278,20 +275,13 @@ def generate_batch(
                 result.replayed += 1
             else:
                 atomic_write(path, text)
-                journal_file.write(fp + "\n")
-                journal_file.flush()
-                result.new_emissions += 1
                 marker = " trivial" if trivial else ""
-                log.write(
-                    f"{index:06d} {fp} draws={draw_index} "
+                journal_file.write(
+                    f"{fp} {index:06d} draws={draw_index} "
                     f"init={len(problem.init)} goal={len(problem.goal)}{marker}\n"
                 )
-                log.flush()
+                journal_file.flush()
+                result.new_emissions += 1
             result.problem_files.append(path)
-        result.draws = draw_index
-        log.write(
-            f"# done emitted={len(seen)} draws={draw_index} "
-            f"duplicates={result.duplicates} degenerate={result.degenerate} "
-            f"trivial={result.trivial}\n"
-        )
+    result.draws = draw_index
     return result

@@ -6,8 +6,7 @@ A session is a self-contained working directory.  Single-domain layout:
       config.dpgc.json   the generation config, as the bytes generated from
       domain.pddl        the domain, as the bytes generated from
       problems/          generated problems
-      journal.fp         fingerprint journal (one whole line per emission)
-      generation.log
+      journal.fp         one whole line per emission: fingerprint, index, draws
       plans/             validated plans, <problem>.plan
       planning.log
       logs/              stage completion markers
@@ -80,10 +79,6 @@ class Session:
     @property
     def journal_path(self) -> Path:
         return self.root / "journal.fp"
-
-    @property
-    def generation_log(self) -> Path:
-        return self.root / "generation.log"
 
     @property
     def plans_dir(self) -> Path:
@@ -191,20 +186,15 @@ def stage_generate(
 
     try:
         result = generate_batch(
-            config,
-            domain,
-            count,
-            seed,
-            session.problems_dir,
-            session.journal_path,
-            session.generation_log,
+            config, domain, count, seed, session.problems_dir, session.journal_path
         )
     except GenerationError as err:
         raise StageError(str(err)) from err
     counts = {"new": result.new_emissions, "replayed": result.replayed,
-              "duplicates": result.duplicates, "trivial": result.trivial}
-    session.write_marker("generate", fingerprint, count=count, seed=str(seed), **counts)
-    del counts["duplicates"]  # kept in the marker only
+              "trivial": result.trivial}
+    session.write_marker("generate", fingerprint, count=count, seed=str(seed), **counts,
+                         duplicates=result.duplicates, degenerate=result.degenerate,
+                         draws=result.draws)
     return {"skipped": False, "count": count, **counts}
 
 
@@ -241,11 +231,11 @@ def stage_plan(
     if marker is None:
         session.write_marker("plan", fingerprint, adapter=adapter.name)
     elif marker["fingerprint"] != fingerprint:
-        raise StageError(
-            f"session {session.root} was planned with adapter "
-            f"'{marker.get('adapter')}', not '{adapter.name}'; use a fresh session "
-            "directory"
-        )
+        if marker.get("adapter") == adapter.name:
+            what = "has a domain.pddl that changed since it was planned"
+        else:
+            what = f"was planned with adapter '{marker.get('adapter')}', not '{adapter.name}'"
+        raise StageError(f"session {session.root} {what}; use a fresh session directory")
     pending = [
         p for p in problems if not (session.plans_dir / f"{p.stem}.plan").exists()
     ]

@@ -193,6 +193,19 @@ def test_plan_reports_tally_and_resume(cli_session, capsys):
     assert out == "planned 8/8 (attempted 0; nothing to do)\n"
 
 
+def test_a_planned_session_holds_only_its_layout(tmp_path, capsys):
+    session = tmp_path / "s"
+    assert main([
+        "gen-problems", "--config", ARTIC3_CONFIG, "--domain", ARTIC3_DOMAIN,
+        "--count", "3", "--seed", "7", "--session", str(session),
+    ]) == 0
+    assert main(["plan", "--session", str(session)]) == 0
+    assert sorted(p.name for p in session.iterdir()) == [
+        "config.dpgc.json", "domain.pddl", "journal.fp", "logs", "planning.log",
+        "plans", "problems",
+    ]
+
+
 def test_plan_with_no_usable_plans_exits_2(tmp_path, capsys):
     session = tmp_path / "s"
     assert main([

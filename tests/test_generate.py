@@ -235,7 +235,7 @@ def test_batch_same_seed_is_byte_identical(tmp_path, artic3, artic3_config):
         root = tmp_path / run
         result = generate_batch(
             artic3_config, artic3, 25, 42,
-            root / "problems", root / "journal.fp", root / "gen.log",
+            root / "problems", root / "journal.fp",
         )
         assert result.new_emissions == 25
         assert result.replayed == 0
@@ -399,25 +399,45 @@ def test_batch_counts_degenerate_draws(tmp_path, chain):
 
 def test_batch_log_records_emissions(tmp_path, artic3, artic3_config):
     root = tmp_path / "s"
-    generate_batch(artic3_config, artic3, 5, 9,
-                   root / "problems", root / "journal.fp", root / "gen.log")
-    lines = (root / "gen.log").read_text().splitlines()
-    assert lines[0].startswith("# generate domain=artic3 seed=9 target=5")
-    assert lines[-1].startswith("# done emitted=5")
-    body = [l for l in lines if not l.startswith("#")]
-    assert len(body) == 5
-    journal = (root / "journal.fp").read_text().split()
-    for line, fp in zip(body, journal):
+    result = generate_batch(artic3_config, artic3, 5, 9,
+                            root / "problems", root / "journal.fp")
+    lines = (root / "journal.fp").read_text().splitlines()
+    assert len(lines) == 5
+    for index, line in enumerate(lines, 1):
         fields = line.split()
-        assert fields[1] == fp
+        path = root / "problems" / problem_file_name("artic3", index)
+        assert fields[0] == fingerprint_text(path.read_text())
+        assert fields[1] == f"{index:06d}"
         assert fields[2].startswith("draws=")
+    assert fields[2] == f"draws={result.draws}"
+
+
+def test_batch_resumes_a_journal_of_bare_fingerprints(tmp_path, artic3, artic3_config):
+    straight = tmp_path / "straight"
+    generate_batch(artic3_config, artic3, 8, 7,
+                   straight / "problems", straight / "journal.fp")
+    root = tmp_path / "s"
+    generate_batch(artic3_config, artic3, 4, 7, root / "problems", root / "journal.fp")
+    journal = root / "journal.fp"
+    # a journal as written before its lines carried more than the fingerprint
+    bare = "".join(line.split()[0] + "\n" for line in journal.read_text().splitlines())
+    journal.write_text(bare)
+    result = generate_batch(artic3_config, artic3, 8, 7,
+                            root / "problems", root / "journal.fp")
+    assert (result.replayed, result.new_emissions) == (4, 4)
+    assert read_dir(root / "problems") == read_dir(straight / "problems")
+    lines = journal.read_text().splitlines()
+    assert "".join(line + "\n" for line in lines[:4]) == bare
+    assert lines[4:] == (straight / "journal.fp").read_text().splitlines()[4:]
+    assert all(" draws=" in line for line in lines[4:])
 
 
 def test_generated_files_parse_and_match_journal(tmp_path, artic3, artic3_config):
     root = tmp_path / "s"
     generate_batch(artic3_config, artic3, 12, 5,
                    root / "problems", root / "journal.fp")
-    journal = (root / "journal.fp").read_text().split()
+    journal = [line.split()[0]
+               for line in (root / "journal.fp").read_text().splitlines()]
     files = sorted((root / "problems").iterdir())
     assert len(files) == 12
     for path, fp in zip(files, journal):

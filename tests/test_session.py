@@ -220,10 +220,14 @@ def test_stage_generate_populates_session(tmp_path):
     }
     assert len(session.problem_paths()) == 5
     assert session.config_path.exists()
-    assert session.generation_log.exists()
+    lines = session.journal_path.read_text().splitlines()
+    assert len(lines) == 5
     marker = session.read_marker("generate")
     assert marker["count"] == 5
     assert marker["seed"] == "3"
+    # the totals are the marker's; the last journal line also gives the draws
+    assert lines[-1].split()[2] == f"draws={marker['draws']}"
+    assert marker["degenerate"] == 0
 
 
 def test_stage_generate_skips_when_satisfied(tmp_path):
@@ -277,6 +281,22 @@ def test_stage_plan_solves_and_resumes(planned_session):
     other = dataclasses.replace(load_adapters()["internal"], name="other")
     with pytest.raises(StageError, match="planned with adapter 'internal'"):
         stage_plan(session, other)
+    assert session.read_marker("plan")["adapter"] == "internal"
+
+
+def test_stage_plan_names_a_changed_domain_not_the_adapter(tmp_path):
+    session = Session(tmp_path / "artic3")
+    stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 7)
+    internal = load_adapters()["internal"]
+    stage_plan(session, internal)
+    with open(session.domain_path, "a") as fh:
+        fh.write("; edited\n")
+    with pytest.raises(StageError) as err:
+        stage_plan(session, internal)
+    assert str(err.value) == (
+        f"session {session.root} has a domain.pddl that changed since it was "
+        "planned; use a fresh session directory"
+    )
     assert session.read_marker("plan")["adapter"] == "internal"
 
 
