@@ -44,7 +44,10 @@ def decode(data: bytes) -> str:
 
 def atomic_write(path: Path, data: str | bytes) -> None:
     """Write ``data`` to ``path`` whole or not at all: through a temporary
-    file beside it, renamed over ``path``, and removed if the write fails."""
+    file beside it, renamed over ``path``, and removed if the write fails.
+
+    That holds if the process dies, not if the machine loses power: nothing
+    is ``fsync``ed, so the rename can reach the disk before the data."""
     partial = path.with_name(f".{path.name}.tmp")
     try:
         if isinstance(data, bytes):

@@ -14,6 +14,8 @@ from pathlib import Path
 # Subcommands import what they use when they run: the planner protocol
 # (``refplan``) and ``validate`` need neither config checks nor the HTTP
 # client, and each ``eval`` or ``pipeline`` run loads only its own side.
+# ``plan`` and ``pipeline`` start their planner workers before they load
+# their stages, so that the two start-ups overlap.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,13 +67,13 @@ def cmd_gen_problems(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    from planforge.drivers import PlannerPool
-    from planforge.session import Session, load_adapter, stage_plan
+    from planforge.pool import PlannerPool
 
-    session = Session(args.session)
-    adapter = load_adapter(args.adapter, args.adapters)
-    with PlannerPool(args.workers) as pool:
-        result = stage_plan(session, adapter, timeout=args.timeout, pool=pool)
+    with PlannerPool(args.workers) as pool:  # first: see the note on imports
+        from planforge.session import Session, load_adapter, stage_plan
+
+        adapter = load_adapter(args.adapter, args.adapters)
+        result = stage_plan(Session(args.session), adapter, timeout=args.timeout, pool=pool)
     tally = " ".join(f"{k}={v}" for k, v in sorted(result["tally"].items()))
     print(
         f"planned {result['planned']}/{result['problems']} "
@@ -167,10 +169,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from planforge.session import load_pipeline_config, run_pipeline
+    from planforge.pool import PlannerPool
+    from planforge.shape import load_pipeline_config
 
     config = load_pipeline_config(args.config)
-    summary = run_pipeline(config, args.session)
+    with PlannerPool(config.get("workers", 1)) as pool:  # first: see the note on imports
+        from planforge.session import run_pipeline
+
+        summary = run_pipeline(config, args.session, pool)
     for name, info in summary["domains"].items():
         print(
             f"{name}: {info['usable']} usable record(s) from {info['target']} "

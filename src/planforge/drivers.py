@@ -10,8 +10,9 @@ no-plan message ``no_solution``, and a plan ``solved`` or ``invalid``.
 The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
-runs every solve on a ``PlannerPool``: child interpreters that a command starts
-once and keeps for all its batches, each replaced alone if it hangs or dies.
+runs every solve on a ``PlannerPool`` (``planforge.pool``, re-exported here
+with ``SolveResult``): child interpreters that a command starts once and keeps
+for all its batches, each replaced alone if it hangs or dies.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import gc
 import os
 import re
-import signal
 import subprocess
 import sys
 import tempfile
@@ -30,7 +29,6 @@ import time
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 from planforge import assets_dir, atomic_write, parse_file
@@ -42,6 +40,7 @@ from planforge.pddl.ground import (
 from planforge.pddl.model import EQ, Domain, GroundAction, Literal, Problem, State
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanStep, parse_plan, render_plan, validate
+from planforge.pool import PlannerPool, SolveResult, _kill_group
 from planforge.shape import ABOVE_ZERO, Array, Diagnostic, Object, OneOf, load, refuse
 
 DIALECTS = ("val_native", "probe")
@@ -93,13 +92,9 @@ _REFPLAN_ARGS = (
     "--domain", "{domain}", "--problem", "{problem}", "--output", "{output}",
 )
 
-# How long a pool worker may stay silent past its problem's timeout before it
-# is killed; covers starting a fresh worker interpreter and its imports.
-_KILL_GRACE_S = 2.0
-
 # Called by ``solve`` with each external planner's process group id as soon as
-# the planner starts.  Only a pool worker sets it (see ``_work``), to send the
-# id to the parent, which kills that group if it kills or reaps the worker.
+# the planner starts.  Only a pool worker sets it (see ``pool._work``), to send
+# the id to the parent, which kills that group if it kills or reaps the worker.
 _report_planner_group = None
 
 
@@ -111,14 +106,6 @@ class PlannerAdapter:
     output: str = "file"
     dialect: str = "val_native"
     timeout: float = 60.0
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str  # solved | invalid | no_solution | timeout | crashed
-    plan_text: str | None
-    wall_time: float
-    detail: str = ""
 
 
 # The shape of an adapter registry.
@@ -277,13 +264,6 @@ def _run_planner(adapter: PlannerAdapter, domain_path: str | Path,
         else:
             payload = stdout
         return SolveResult("solved", normalize_output(payload, adapter.dialect), wall)
-
-
-def _kill_group(pgid: int) -> None:
-    try:
-        os.killpg(pgid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
 
 
 def _solve_in_process(domain: Domain, problem: Problem, timeout: float) -> SolveResult:
@@ -533,140 +513,3 @@ def plan_batch(
         counts = " ".join(f"{k}={v}" for k, v in sorted(tally.items()))
         log.write(f"# done {counts}\n")
     return results
-
-
-class PlannerPool:
-    """Up to ``workers`` child interpreters that ``solve`` problems, from the
-    first batch that needs them until the pool is closed.
-
-    A command opens one pool and solves all its batches on it, whatever
-    their adapter, domain and timeout, so its workers start once and keep
-    ``reference_plan``'s grounding memo from batch to batch.  The pool
-    replaces a worker that hangs or dies, with the external planner it
-    reported, and nothing else (see ``solve_batch``).  ``close``, or leaving
-    a ``with`` block, stops every worker.  Workers run ``sys.executable``
-    with the parent's environment and planforge, and never import its
-    ``__main__``.  A pool solves one batch at a time.
-    """
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = workers
-        self._idle: list = []  # (process, connection) of workers waiting for a problem
-
-    def __enter__(self) -> PlannerPool:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def solve_batch(
-        self,
-        adapter: PlannerAdapter,
-        domain_path: str | Path,
-        problem_paths: list[Path],
-        timeout: float,
-    ) -> Iterator[tuple[int, SolveResult]]:
-        """``solve`` every problem on up to ``workers`` workers, yielding
-        (problem index, result) as each result arrives.
-
-        A worker holds one problem at a time, whose clock starts when it is
-        sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed
-        and its problem is ``timeout``; one that dies leaves its problem
-        ``crashed``.  Either way, the external planner's process group that
-        the worker reported is killed with it.  Only that worker is
-        replaced; other problems run on.  Workers that answered stay in the
-        pool for the next batch; any still busy when the caller closes the
-        generator early are stopped.
-        """
-        limit = timeout + _KILL_GRACE_S
-        todo = deque(range(len(problem_paths)))
-        busy: dict = {}  # connection -> (process, problem index, sent at, planner group)
-        try:
-            while todo or busy:
-                while todo and len(busy) < self.workers:
-                    process, conn = self._idle.pop() if self._idle else self._start()
-                    try:
-                        conn.send((adapter, domain_path, problem_paths[todo[0]], timeout))
-                    except ConnectionError:  # it died idle; start another
-                        _stop(process, conn)
-                        continue
-                    busy[conn] = (process, todo.popleft(), time.monotonic(), None)
-                oldest = min(sent for _, _, sent, _ in busy.values())
-                ready = wait(list(busy), max(0.0, oldest + limit - time.monotonic()))
-                for conn in ready:
-                    process, index, sent, group = busy.pop(conn)
-                    try:
-                        result = conn.recv()
-                    except (EOFError, ConnectionError):  # it died
-                        _stop(process, conn, group)
-                        result = SolveResult(
-                            "crashed", None, time.monotonic() - sent,
-                            f"worker died with exit code {process.returncode}",
-                        )
-                    else:
-                        if isinstance(result, int):  # its planner's group, as it starts
-                            busy[conn] = (process, index, sent, result)
-                            continue
-                        self._idle.append((process, conn))
-                    yield index, result
-                now = time.monotonic()
-                for conn in [c for c, (_, _, sent, _) in busy.items() if now - sent >= limit]:
-                    process, index, sent, group = busy.pop(conn)
-                    _stop(process, conn, group)
-                    yield index, SolveResult(
-                        "timeout", None, now - sent, f"worker killed after {limit}s"
-                    )
-        finally:
-            for conn, (process, _, _, group) in busy.items():
-                _stop(process, conn, group)
-
-    def _start(self) -> tuple[subprocess.Popen, Connection]:
-        conn, child_end = Pipe()
-        fd = child_end.fileno()
-        process = subprocess.Popen(
-            [sys.executable, "-c", _WORKER, str(fd), str(Path(__file__).resolve().parents[1])],
-            stdin=subprocess.DEVNULL, pass_fds=(fd,))
-        child_end.close()  # so that the worker's death reads as EOF
-        return process, conn
-
-    def close(self) -> None:
-        """Tell the idle workers to exit and reap them, so that their exit
-        handlers run and their CPU time is this process's children's."""
-        idle, self._idle = self._idle, []
-        for process, conn in idle:
-            with contextlib.suppress(ConnectionError):  # unless it died idle
-                conn.send(None)
-        for process, conn in idle:
-            process.wait()
-            conn.close()
-
-
-# A worker serves pipe end argv[1], on the planforge in directory argv[2].
-_WORKER = ("import sys; sys.path.insert(0, sys.argv[2])\n"
-           "from planforge.drivers import _work; _work(int(sys.argv[1]))")
-
-
-def _work(fd: int) -> None:
-    """Answer each (adapter, domain path, problem path, timeout) received on
-    the pipe end ``fd`` with ``solve``'s result until ``None`` arrives,
-    sending an external planner's process group id first, as the planner
-    starts.  ``solve`` is looked up on the module, so that a wrapper set
-    there sees every solve.  The pipe's end of file means the command died."""
-    global _report_planner_group
-    conn = Connection(fd)
-    _report_planner_group = conn.send
-    with contextlib.suppress(EOFError, ConnectionError):
-        while (task := conn.recv()) is not None:
-            adapter, domain_path, problem_path, timeout = task
-            conn.send(solve(adapter, domain_path, problem_path, timeout=timeout))
-    gc.freeze()  # so that shutdown's collections skip the grounding memo
-
-
-def _stop(process: subprocess.Popen, conn, group: int | None = None) -> None:
-    """Kill a worker and the planner group it last reported, reap the
-    worker and close its end of the pipe."""
-    process.kill()
-    if group is not None:
-        _kill_group(group)
-    process.wait()
-    conn.close()

@@ -19,6 +19,7 @@ to continue silently when the inputs changed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -37,15 +38,14 @@ from planforge.dpgc import read_config, validate_against_domain
 from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_batch
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
-from planforge.shape import ABOVE_ZERO, ONE_OR_MORE, WHOLE, Array, Map, Maybe, Object, load, refuse
+# StageError and the pipeline config's check live in shape, which loads no
+# PDDL code, so that a command can check its config before it loads this
+# module; they are re-exported here.
+from planforge.shape import _PIPELINE, WHOLE, Object, StageError, load, load_pipeline_config, refuse
 
 
 # Top-up rounds per domain before run_pipeline gives up on a shortfall.
 MAX_ROUNDS = 10
-
-
-class StageError(RuntimeError):
-    pass
 
 
 # The fields of a stage marker that the stages read back.
@@ -285,44 +285,16 @@ def stage_assemble(
     return manifest
 
 
-# The shape of a pipeline config.  Quota names, positivity and even division
-# are left to ``per_domain_quotas``, the one quota check.
-_PIPELINE = Object({
-    "seed": WHOLE,
-    "domains": Array(Object({"domain": "string", "dpgc": "string", "count": ONE_OR_MORE},
-                            ("domain", "dpgc", "count"), open=True), 1),
-    "quotas": Map(WHOLE, 1),
-    "workers": ONE_OR_MORE,
-    "timeout": Maybe(ABOVE_ZERO),
-    "adapter": "string",
-    "adapters_file": "string",
-}, ("seed", "domains", "quotas"), open=True)
-
-
-def load_pipeline_config(path: str | Path) -> dict:
-    """Read and check a pipeline config document; its paths resolve against
-    the config file's directory."""
-    path = Path(path)
-    data = load(path, _PIPELINE, "config", StageError)
-    data.setdefault("adapter", "internal")
-    base = path.resolve().parent
-    for entry in data["domains"]:
-        entry["domain"] = str((base / entry["domain"]).resolve())
-        entry["dpgc"] = str((base / entry["dpgc"]).resolve())
-    if "adapters_file" in data:
-        data["adapters_file"] = str((base / data["adapters_file"]).resolve())
-    return data
-
-
-def run_pipeline(config: dict, root: str | Path) -> dict:
+def run_pipeline(config: dict, root: str | Path, pool: PlannerPool | None = None) -> dict:
     """Generate, plan, top up shortfalls, assemble, audit.
 
     Each domain is generated and planned in its own sub-session.  When fewer
     usable (problem, plan) pairs exist than the quotas require, the target
     count is raised by the missing amount and the generate/plan stages run
     again, at most ``MAX_ROUNDS`` times.  Every round of every domain plans
-    on one ``PlannerPool`` of ``config["workers"]`` workers, which is closed
-    before assembly, and also when a stage fails.
+    on ``pool``, which the caller opened with ``config["workers"]`` workers
+    and closes.  Without one, the run opens such a pool once its inputs are
+    checked, and closes it before assembly, and also when a stage fails.
     """
     root = Path(root)
     pipeline = Session(root)
@@ -351,7 +323,10 @@ def run_pipeline(config: dict, root: str | Path) -> dict:
 
     summary: dict = {"domains": {}}
     all_records: list[DatasetRecord] = []
-    with PlannerPool(config.get("workers", 1)) as pool:
+    with (
+        PlannerPool(config.get("workers", 1)) if pool is None
+        else contextlib.nullcontext(pool) as pool
+    ):
         for entry, domain_name in zip(config["domains"], names):
             sub = Session(root / domain_name)
             target = entry["count"]

@@ -19,9 +19,12 @@ from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from planforge.pddl.model import Domain, Problem
-from planforge.pddl.parser import parse_domain, parse_problem
+# The PDDL reader loads only when a record is parsed, so that checking a
+# config, or importing this module, loads none of it.
+if TYPE_CHECKING:
+    from planforge.pddl.model import Domain, Problem
 
 Object = namedtuple("Object", "fields required open", defaults=((), False))
 Array = namedtuple("Array", "item min_items", defaults=(0,))
@@ -144,8 +147,43 @@ def parse_record(path: str | Path, index: int, record: dict,
     """The domain and problem of record ``index`` of the split file ``path``,
     from its ``instruction`` and ``input``; refused there if either does not
     parse."""
+    from planforge.pddl.parser import parse_domain, parse_problem
+
     try:
         domain = parse_domain(record["instruction"])
         return domain, parse_problem(record["input"], domain)
     except ValueError as err:
         refuse(path, [Diagnostic(f"records[{index}]", str(err))], error)
+
+
+class StageError(RuntimeError):
+    """A stage refused its inputs or could not finish."""
+
+
+# The shape of a pipeline config.  Quota names, positivity and even division
+# are left to ``dataset.per_domain_quotas``, the one quota check.
+_PIPELINE = Object({
+    "seed": WHOLE,
+    "domains": Array(Object({"domain": "string", "dpgc": "string", "count": ONE_OR_MORE},
+                            ("domain", "dpgc", "count"), open=True), 1),
+    "quotas": Map(WHOLE, 1),
+    "workers": ONE_OR_MORE,
+    "timeout": Maybe(ABOVE_ZERO),
+    "adapter": "string",
+    "adapters_file": "string",
+}, ("seed", "domains", "quotas"), open=True)
+
+
+def load_pipeline_config(path: str | Path) -> dict:
+    """Read and check a pipeline config document; its paths resolve against
+    the config file's directory."""
+    path = Path(path)
+    data = load(path, _PIPELINE, "config", StageError)
+    data.setdefault("adapter", "internal")
+    base = path.resolve().parent
+    for entry in data["domains"]:
+        entry["domain"] = str((base / entry["domain"]).resolve())
+        entry["dpgc"] = str((base / entry["dpgc"]).resolve())
+    if "adapters_file" in data:
+        data["adapters_file"] = str((base / data["adapters_file"]).resolve())
+    return data

@@ -59,24 +59,29 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 HEAVY_MODULES = ("planforge.evaluate", "planforge.dpgc", "planforge.generate")
 
 
-def modules_after(argv: list[str] | None, modules=HEAVY_MODULES) -> set[str]:
-    """Which ``modules`` a fresh interpreter holds after importing the CLI
-    and, unless argv is None, running it once."""
-    code = (
-        "import json, sys\n"
-        "from planforge.cli import main\n"
-        f"argv = {argv!r}\n"
-        "if argv is not None:\n"
-        "    main(argv)\n"
-        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
-    )
+def run_fresh(code: str):
+    """The JSON that ``code``, run in a fresh interpreter on this checkout,
+    prints last."""
     src = str(assets_dir().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(argv: list[str] | None, modules=HEAVY_MODULES) -> set[str]:
+    """Which ``modules`` a fresh interpreter holds after importing the CLI
+    and, unless argv is None, running it once."""
+    return set(run_fresh(
+        "import json, sys\n"
+        "from planforge.cli import main\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    main(argv)\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+    ))
 
 
 def test_importing_the_cli_loads_no_pddl_reader():
@@ -111,6 +116,52 @@ def test_commands_import_only_what_they_use(tmp_path):
         "pipeline", "--config", str(tmp_path / "missing.json"),
         "--session", str(tmp_path / "run"),
     ])
+
+
+# Stage code: what a command must not have loaded when its workers start.
+STAGE_MODULES = ("planforge.session", "planforge.generate", "planforge.dataset",
+                 "planforge.pddl")
+
+
+def stage_modules_at_worker_starts(argv: list[str]) -> tuple[int, list[list[str]]]:
+    """The exit code of one CLI run in a fresh interpreter, and the stage
+    modules loaded at each process it started: with the bundled adapter,
+    only the pool's workers."""
+    code, loaded = run_fresh(
+        "import json, subprocess, sys\n"
+        "from planforge.cli import main\n"
+        "loaded, popen = [], subprocess.Popen\n"
+        "def spy(*args, **kwargs):\n"
+        f"    loaded.append(sorted(m for m in sys.modules if m.startswith({STAGE_MODULES!r})))\n"
+        "    return popen(*args, **kwargs)\n"
+        "subprocess.Popen = spy\n"
+        f"print(json.dumps([main({argv!r}), loaded]))\n"
+    )
+    return code, loaded
+
+
+def test_workers_start_before_any_stage_code_loads(tmp_path):
+    assert main(_gen_problems(tmp_path / "s")) == 0
+    assert stage_modules_at_worker_starts(
+        ["plan", "--session", str(tmp_path / "s"), "--workers", "2"]) == (0, [[], []])
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        "seed": 23,
+        "domains": [{"domain": ARTIC3_DOMAIN, "dpgc": ARTIC3_CONFIG, "count": 4}],
+        "quotas": {"train": 2},
+        "workers": 2,
+    }))
+    assert stage_modules_at_worker_starts(
+        ["pipeline", "--config", str(config), "--session", str(tmp_path / "run")]
+    ) == (0, [[], []])
+    # the pool and the config check alone load no PDDL code either
+    assert run_fresh(
+        "import json, sys\n"
+        "import planforge.pool\n"
+        "from planforge.shape import load_pipeline_config\n"
+        f"load_pipeline_config({str(config)!r})\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('planforge.pddl')]))\n"
+    ) == []
 
 
 def test_gen_problems_reports_and_skips(tmp_path, capsys):

@@ -21,6 +21,7 @@ import pytest
 from conftest import CASCADE, EDGES, EDGES_PROBLEM, MICRO_PLAN, make_stub_adapter
 from oracle import literal_bfs, sim_reachable_count, sim_shortest_plan, sim_validate
 from planforge import assets_dir, drivers
+from planforge.cli import main
 from planforge.drivers import (
     AdapterError,
     ExpansionBudgetExceeded,
@@ -38,6 +39,7 @@ from planforge.dpgc import parse_config
 from planforge.generate import generate_batch
 from planforge.pddl.ground import static_predicates
 from planforge.pddl.parser import parse_domain, parse_problem
+from planforge.pool import _KILL_GRACE_S
 from planforge.session import (
     Session,
     StageError,
@@ -780,11 +782,11 @@ def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_tex
     elapsed = time.monotonic() - start
     stuck_entry, micro_entry = result
     assert stuck_entry.status == "timeout"
-    assert timeout + drivers._KILL_GRACE_S <= stuck_entry.wall_time
-    assert stuck_entry.wall_time < timeout + drivers._KILL_GRACE_S + 1
+    assert timeout + _KILL_GRACE_S <= stuck_entry.wall_time
+    assert stuck_entry.wall_time < timeout + _KILL_GRACE_S + 1
     # the problem still pending ran on a fresh worker
     assert micro_entry.status == "solved"
-    assert elapsed < timeout + drivers._KILL_GRACE_S + 10
+    assert elapsed < timeout + _KILL_GRACE_S + 10
     _nothing_outlives_the_pool()
 
 
@@ -1038,6 +1040,45 @@ def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
     _nothing_outlives_the_pool()
 
 
+@pytest.mark.parametrize("fault, workers_started", [
+    ("second domain does not parse", 2),
+    ("config missing", 0),
+    ("config refused", 0),
+])
+def test_no_worker_outlives_a_failed_command(tmp_path, monkeypatch, capsys, fault,
+                                             workers_started):
+    started = []
+    start = PlannerPool._start
+
+    def spy(pool):
+        started.append(pool)
+        return start(pool)
+
+    monkeypatch.setattr(PlannerPool, "_start", spy)
+    bad_domain = tmp_path / "bad.pddl"
+    bad_domain.write_text("(define (domain d) (:action a :parameters () :effect (q)))")
+    config = {
+        "seed": 11,
+        "domains": [
+            {"domain": str(assets_dir() / "artic3.pddl"),
+             "dpgc": str(assets_dir() / "artic3.dpgc.json"), "count": 3},
+            {"domain": str(bad_domain),
+             "dpgc": str(assets_dir() / "artic3m.dpgc.json"), "count": 3},
+        ],
+        "quotas": {"train": 2},
+        "workers": 2 if fault != "config refused" else 0,
+    }
+    path = tmp_path / "pipeline.json"
+    if fault != "config missing":
+        path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path), "--session", str(tmp_path / "run")]) == 2
+    named = bad_domain if fault == "second domain does not parse" else path
+    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+    assert len(started) == workers_started
+    _nothing_outlives_the_pool()
+
+
 def _group_alive(pgid: int) -> bool:
     """Whether process group ``pgid`` has a live (non-zombie) member."""
     pids = [p.name for p in Path("/proc").iterdir() if p.name.isdigit()]
@@ -1181,7 +1222,7 @@ def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
             except ProcessLookupError:
                 pass
     assert entry.status == "timeout"
-    assert elapsed < adapter.timeout + drivers._KILL_GRACE_S + 5
+    assert elapsed < adapter.timeout + _KILL_GRACE_S + 5
     # the planner's own timeout answered, so no worker (and no other
     # problem's planner with it) was killed
     assert entry.detail == f"killed after {adapter.timeout}s"
