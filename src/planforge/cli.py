@@ -14,8 +14,9 @@ from pathlib import Path
 # Subcommands import what they use when they run: the planner protocol
 # (``refplan``) and ``validate`` need neither config checks nor the HTTP
 # client, and each ``eval`` or ``pipeline`` run loads only its own side.
-# ``plan`` and ``pipeline`` start their planner workers before they load
-# their stages, so that the two start-ups overlap.
+# ``plan`` and ``pipeline`` fork their planner workers before they load
+# their stages, so that the workers inherit none of the stage code and
+# import the planner while the command imports its stages.
 
 EXIT_OK = 0
 EXIT_USAGE = 1

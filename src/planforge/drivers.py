@@ -11,7 +11,7 @@ The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
 runs every solve on a ``PlannerPool`` (``planforge.pool``, re-exported here
-with ``SolveResult``): child interpreters that a command starts once and keeps
+with ``SolveResult``): child processes that a command forks once and keeps
 for all its batches, each replaced alone if it hangs or dies.
 """
 

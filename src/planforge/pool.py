@@ -1,32 +1,34 @@
-"""A pool of planner workers: child interpreters that ``solve`` problems.
+"""A pool of planner workers: forked child processes that ``solve`` problems.
 
-This module imports the standard library alone, so that a command can start
-its workers before it loads the PDDL reader and its stages, and the workers'
-start-up runs while the command imports them.  A worker imports
+This module imports the standard library alone, so that a command can fork
+its workers before it loads the PDDL reader and its stages, and each worker
+inherits only what the command had loaded by then.  A worker imports
 ``planforge.drivers`` itself, before it reads its first problem.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import gc
 import os
 import signal
-import subprocess
 import sys
 import time
+import weakref
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from planforge.drivers import PlannerAdapter
 
 # How long a pool worker may stay silent past its problem's timeout before it
-# is killed; covers starting a fresh worker interpreter and its imports.
+# is killed; covers a fresh worker's import of ``planforge.drivers``, which a
+# worker forked before the command loaded it pays on its first problem.
 _KILL_GRACE_S = 2.0
 
 
@@ -38,8 +40,26 @@ class SolveResult:
     detail: str = ""
 
 
+class _Process:
+    """A forked worker, with ``subprocess.Popen``'s ``pid``, ``returncode``,
+    ``kill`` and ``wait``."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None  # as ``Popen``'s: -N for signal N
+
+    def kill(self) -> None:
+        if self.returncode is None:  # once reaped, the pid may be another's
+            os.kill(self.pid, signal.SIGKILL)
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
+
+
 class PlannerPool:
-    """``workers`` child interpreters that ``solve`` problems, from the
+    """``workers`` forked child processes that ``solve`` problems, from the
     moment the pool is made until it is closed.
 
     A command opens one pool before it loads its stages and solves all its
@@ -48,14 +68,18 @@ class PlannerPool:
     ``reference_plan``'s grounding memo from batch to batch.  The pool
     replaces a worker that hangs or dies, with the external planner it
     reported, and nothing else (see ``solve_batch``).  ``close``, or leaving
-    a ``with`` block, stops every worker.  Workers run ``sys.executable``
-    with the parent's environment and planforge, and never import its
-    ``__main__``.  A pool solves one batch at a time.
+    a ``with`` block, stops every worker.  Workers are forked: each holds
+    what the parent had loaded when it forked, its stdin is ``/dev/null``,
+    and as it exits it runs the exit handlers registered before it forked,
+    but not the parent's ``weakref.finalize`` clean-ups.  Forking from a
+    process with other threads is the caller's risk.  A pool solves one
+    batch at a time.
     """
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = workers
         self._idle: list = []  # (process, connection) of workers waiting for a problem
+        self._conns: set = set()  # the pool's end of each live worker's pipe, for workers to close
         try:
             for _ in range(workers):
                 self._idle.append(self._start())
@@ -98,7 +122,7 @@ class PlannerPool:
                     try:
                         conn.send((adapter, domain_path, problem_paths[todo[0]], timeout))
                     except ConnectionError:  # it died idle; start another
-                        _stop(process, conn)
+                        self._stop(process, conn)
                         continue
                     busy[conn] = (process, todo.popleft(), time.monotonic(), None)
                 oldest = min(sent for _, _, sent, _ in busy.values())
@@ -108,7 +132,7 @@ class PlannerPool:
                     try:
                         result = conn.recv()
                     except (EOFError, ConnectionError):  # it died
-                        _stop(process, conn, group)
+                        self._stop(process, conn, group)
                         result = SolveResult(
                             "crashed", None, time.monotonic() - sent,
                             f"worker died with exit code {process.returncode}",
@@ -122,22 +146,35 @@ class PlannerPool:
                 now = time.monotonic()
                 for conn in [c for c, (_, _, sent, _) in busy.items() if now - sent >= limit]:
                     process, index, sent, group = busy.pop(conn)
-                    _stop(process, conn, group)
+                    self._stop(process, conn, group)
                     yield index, SolveResult(
                         "timeout", None, now - sent, f"worker killed after {limit}s"
                     )
         finally:
             for conn, (process, _, _, group) in busy.items():
-                _stop(process, conn, group)
+                self._stop(process, conn, group)
 
-    def _start(self) -> tuple[subprocess.Popen, Connection]:
+    def _start(self) -> tuple[_Process, Connection]:
         conn, child_end = Pipe()
-        fd = child_end.fileno()
-        process = subprocess.Popen(
-            [sys.executable, "-c", _WORKER, str(fd), str(Path(__file__).resolve().parents[1])],
-            stdin=subprocess.DEVNULL, pass_fds=(fd,))
+        for stream in (sys.stdout, sys.stderr):  # so that no worker holds a copy of their output
+            with contextlib.suppress(AttributeError, ValueError):  # none, or closed
+                stream.flush()
+        pid = os.fork()
+        if pid == 0:
+            _serve(child_end, [conn, *self._conns])
         child_end.close()  # so that the worker's death reads as EOF
-        return process, conn
+        self._conns.add(conn)
+        return _Process(pid), conn
+
+    def _stop(self, process: _Process, conn: Connection, group: int | None = None) -> None:
+        """Kill a worker and the planner group it last reported, reap the
+        worker and close its end of the pipe."""
+        process.kill()
+        if group is not None:
+            _kill_group(group)
+        process.wait()
+        conn.close()
+        self._conns.discard(conn)
 
     def close(self) -> None:
         """Tell the idle workers to exit and reap them, so that their exit
@@ -149,29 +186,49 @@ class PlannerPool:
         for process, conn in idle:
             process.wait()
             conn.close()
+            self._conns.discard(conn)
 
 
-# A worker serves pipe end argv[1], on the planforge in directory argv[2].
-_WORKER = ("import sys; sys.path.insert(0, sys.argv[2])\n"
-           "from planforge.pool import _work; _work(int(sys.argv[1]))")
+def _serve(conn: Connection, inherited: list[Connection]) -> NoReturn:
+    """A forked worker's whole life: serve ``conn``, run the exit handlers
+    registered before the fork (a tracer may write its spans in one), exit.
+    It never returns into the stack it was forked from, and never flushes
+    the output buffers it inherited.  ``inherited`` are the pool's ends of
+    the pipes, which only the parent may hold, so that every worker reads
+    the end of file when the command dies."""
+    code = 1
+    try:
+        gc.freeze()  # so that the worker's collections skip what it inherited
+        for finalizer in list(weakref.finalize._registry):  # the parent's to run
+            finalizer.detach()
+        for other in inherited:
+            other.close()
+        null = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null, 0)
+        os.close(null)
+        _work(conn)
+        code = 0
+    except BaseException:  # reported as an interpreter reports its last one
+        sys.excepthook(*sys.exc_info())
+    finally:
+        atexit._run_exitfuncs()
+        os._exit(code)
 
 
-def _work(fd: int) -> None:
+def _work(conn: Connection) -> None:
     """Answer each (adapter, domain path, problem path, timeout) received on
-    the pipe end ``fd`` with ``solve``'s result until ``None`` arrives,
-    sending an external planner's process group id first, as the planner
-    starts.  ``planforge.drivers`` is imported before the first problem is
-    read, and ``solve`` is looked up on it, so that a wrapper set there sees
-    every solve.  The pipe's end of file means the command died."""
+    ``conn`` with ``solve``'s result until ``None`` arrives, sending an
+    external planner's process group id first, as the planner starts.
+    ``planforge.drivers`` is imported before the first problem is read, and
+    ``solve`` is looked up on it, so that a wrapper set there sees every
+    solve.  The pipe's end of file means the command died."""
     from planforge import drivers
 
-    conn = Connection(fd)
     drivers._report_planner_group = conn.send
     with contextlib.suppress(EOFError, ConnectionError):
         while (task := conn.recv()) is not None:
             adapter, domain_path, problem_path, timeout = task
             conn.send(drivers.solve(adapter, domain_path, problem_path, timeout=timeout))
-    gc.freeze()  # so that shutdown's collections skip the grounding memo
 
 
 def _kill_group(pgid: int) -> None:
@@ -179,13 +236,3 @@ def _kill_group(pgid: int) -> None:
         os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-
-
-def _stop(process: subprocess.Popen, conn, group: int | None = None) -> None:
-    """Kill a worker and the planner group it last reported, reap the
-    worker and close its end of the pipe."""
-    process.kill()
-    if group is not None:
-        _kill_group(group)
-    process.wait()
-    conn.close()

@@ -125,18 +125,20 @@ STAGE_MODULES = ("planforge.session", "planforge.generate", "planforge.dataset",
 
 def stage_modules_at_worker_starts(argv: list[str]) -> tuple[int, list[list[str]]]:
     """The exit code of one CLI run in a fresh interpreter, and the stage
-    modules loaded at each process it started: with the bundled adapter,
-    only the pool's workers."""
-    code, loaded = run_fresh(
-        "import json, subprocess, sys\n"
+    modules loaded at each fork: with the bundled adapter, only the pool
+    forks, once per worker.  Every fork is from a single-threaded process."""
+    code, loaded, threads = run_fresh(
+        "import json, os, sys, threading\n"
         "from planforge.cli import main\n"
-        "loaded, popen = [], subprocess.Popen\n"
-        "def spy(*args, **kwargs):\n"
+        "loaded, threads, fork = [], [], os.fork\n"
+        "def spy():\n"
         f"    loaded.append(sorted(m for m in sys.modules if m.startswith({STAGE_MODULES!r})))\n"
-        "    return popen(*args, **kwargs)\n"
-        "subprocess.Popen = spy\n"
-        f"print(json.dumps([main({argv!r}), loaded]))\n"
+        "    threads.append(threading.active_count())\n"
+        "    return fork()\n"
+        "os.fork = spy\n"
+        f"print(json.dumps([main({argv!r}), loaded, threads]))\n"
     )
+    assert threads == [1] * len(loaded)
     return code, loaded
 
 

@@ -11,6 +11,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from multiprocessing import resource_tracker
@@ -989,6 +990,73 @@ def test_a_killed_command_leaves_no_worker_behind(tmp_path):
         time.sleep(0.01)
     assert not _alive(worker)
     assert "Traceback" not in err.read_text()
+
+
+def test_no_worker_prints_the_commands_pending_output(tmp_path):
+    # with stdout a file and buffered, "before" is still in the command's
+    # buffer when the pool forks; the exit handler below, which each worker
+    # inherits, would print it again from each worker that holds a copy
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(sys.stdout.flush)\n"
+        "print('before')\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import PlannerPool, load_adapters\n"
+        "with PlannerPool(2) as pool:\n"
+        "    ((_, result),) = pool.solve_batch(\n"
+        "        load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+        "        [assets_dir() / 'artic3_micro.pddl'], 60)\n"
+        "print(result.status)\n"
+    )
+    env = {k: v for k, v in _SCRIPT_ENV.items() if k != "PYTHONUNBUFFERED"}
+    out = tmp_path / "stdout"
+    with open(out, "w") as stdout:
+        subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                       stdout=stdout, check=True, timeout=60)
+    assert out.read_text() == "before\nsolved\n"
+
+
+def test_a_worker_leaves_the_commands_temporary_directory_alone():
+    # the directory's clean-up at exit is registered before the pool forks
+    with tempfile.TemporaryDirectory() as kept:
+        with PlannerPool(1):
+            pass
+        assert Path(kept).is_dir()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+def test_each_worker_holds_only_its_own_pipe_end(tmp_path):
+    stuck = tmp_path / "stuck.pddl"
+    os.mkfifo(stuck)
+    # in a fresh interpreter, so that the workers inherit no socket but the
+    # pool's; every worker has answered a problem before its descriptors
+    # are read, then all die from outside while one is stuck on the pipe
+    script = (
+        "import json, os, signal, threading\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import PlannerPool, load_adapters\n"
+        "internal, domain = load_adapters()['internal'], assets_dir() / 'artic3.pddl'\n"
+        "with PlannerPool(3) as pool:\n"
+        "    micro = assets_dir() / 'artic3_micro.pddl'\n"
+        "    list(pool.solve_batch(internal, domain, [micro] * 3, 60))\n"
+        "    pids = [process.pid for process, _ in pool._idle]\n"
+        "    sockets = [sum(os.readlink(f'/proc/{pid}/fd/{fd}').startswith('socket:')\n"
+        "                   for fd in os.listdir(f'/proc/{pid}/fd')) for pid in pids]\n"
+        "    def kill_all():\n"
+        f"        with open({str(stuck)!r}, 'w'):  # once a worker opened it\n"
+        "            for pid in pids:\n"
+        "                os.kill(pid, signal.SIGKILL)\n"
+        "    killer = threading.Thread(target=kill_all)\n"
+        "    killer.start()\n"
+        f"    ((_, result),) = pool.solve_batch(internal, domain, [{str(stuck)!r}], 60)\n"
+        "    killer.join()\n"
+        "print(json.dumps([sockets, result.status, result.detail]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=_SCRIPT_ENV, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[1, 1, 1], "crashed", "worker died with exit code -9"]
 
 
 def _two_domain_config(tmp_path, **overrides) -> dict:
