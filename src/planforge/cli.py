@@ -14,9 +14,9 @@ from pathlib import Path
 # Subcommands import what they use when they run: the planner protocol
 # (``refplan``) and ``validate`` need neither config checks nor the HTTP
 # client, and each ``eval`` or ``pipeline`` run loads only its own side.
-# ``plan`` and ``pipeline`` fork their planner workers before they load
-# their stages, so that the workers inherit none of the stage code and
-# import the planner while the command imports its stages.
+# ``plan`` and ``pipeline`` load their stages, and with them the planner,
+# before they fork their planner workers, so that each worker inherits a
+# loaded planner and imports nothing.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,11 +69,10 @@ def cmd_gen_problems(args) -> int:
 
 def cmd_plan(args) -> int:
     from planforge.pool import PlannerPool
+    from planforge.session import Session, load_adapter, stage_plan
 
-    with PlannerPool(args.workers) as pool:  # first: see the note on imports
-        from planforge.session import Session, load_adapter, stage_plan
-
-        adapter = load_adapter(args.adapter, args.adapters)
+    adapter = load_adapter(args.adapter, args.adapters)
+    with PlannerPool(args.workers) as pool:  # last: see the note on imports
         result = stage_plan(Session(args.session), adapter, timeout=args.timeout, pool=pool)
     tally = " ".join(f"{k}={v}" for k, v in sorted(result["tally"].items()))
     print(
@@ -171,12 +170,11 @@ def cmd_eval(args) -> int:
 
 def cmd_pipeline(args) -> int:
     from planforge.pool import PlannerPool
+    from planforge.session import run_pipeline
     from planforge.shape import load_pipeline_config
 
     config = load_pipeline_config(args.config)
-    with PlannerPool(config.get("workers", 1)) as pool:  # first: see the note on imports
-        from planforge.session import run_pipeline
-
+    with PlannerPool(config.get("workers", 1)) as pool:  # last: see the note on imports
         summary = run_pipeline(config, args.session, pool)
     for name, info in summary["domains"].items():
         print(

@@ -37,7 +37,7 @@ from planforge.pddl.ground import (
     iter_applicable_candidates,
     static_predicates,
 )
-from planforge.pddl.model import EQ, Domain, GroundAction, Literal, Problem, State
+from planforge.pddl.model import EQ, Domain, Literal, Problem, State
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.plans import PlanStep, parse_plan, render_plan, validate
 from planforge.pool import PlannerPool, SolveResult, _kill_group
@@ -370,33 +370,80 @@ def reference_plan(
 def _compiled_candidates(
     domain: Domain, objects: tuple[tuple[str, str], ...], static_init: State
 ) -> tuple[dict, dict]:
-    """The bit of each fluent atom, and the compiled candidates (see
-    ``_compile``) of every problem of ``domain`` with these objects and these
-    initial static atoms, filed by bit.  Grounding and compiling read nothing
-    else of a problem, so they run against a problem whose init is just
-    those atoms.
+    """The bit of each fluent atom, and the compiled candidates of every
+    problem of ``domain`` with these objects and these initial static atoms,
+    filed by bit.  Grounding and compiling read nothing else of a problem,
+    so they run against a problem whose init is just those atoms.
 
-    Every atom that a ground action's precondition or effects mention gets a
-    bit, in order of first mention, unless its predicate is static or ``=``.
-    Each candidate, led by its position in grounding order, is filed under
-    one bit that its precondition needs set, the one that the fewest
-    candidates need, or under 0 if it needs none.  A state can then apply only candidates filed under 0
-    or under one of its own bits: the one-level form of Fast Downward's
-    successor generator (Helmert, JAIR 2006)."""
+    A candidate is (position in grounding order, plan step, mask of the
+    precondition atoms that must hold, mask of those that must not,
+    unconditional deletes, unconditional adds, conditional branches), built
+    from its schema's template and its arguments.  Every atom that a ground
+    action's precondition or effects mention gets a bit, in order of first
+    mention (precondition, then each branch's condition, deletes and adds),
+    unless its predicate is static or ``=``.  Grounding has checked the
+    static precondition already.  A branch whose static condition fails
+    never fires and is dropped; one with nothing left to test is
+    unconditional.  The rest stay as masks (atoms that must hold, ones that
+    must not, deletes, adds), tested on the pre-state.
+
+    Each candidate is filed under one bit that its precondition needs set,
+    the one that the fewest candidates need, or under 0 if it needs none.  A
+    state can then apply only candidates filed under 0 or under one of its
+    own bits: the one-level form of Fast Downward's successor generator
+    (Helmert, JAIR 2006)."""
     shape = Problem("", domain.name, objects, static_init, ())
-    statics = static_predicates(domain)
+    fixed = static_predicates(domain) | {EQ}
     # Drained before compiling, so that grounding is timed on its own.
     ground = list(iter_applicable_candidates(domain, shape))
     bits: dict = {}
+
+    def bit_of(atom: tuple[str, ...]) -> int:
+        """``atom``'s bit, given on its first mention."""
+        return bits.get(atom) or bits.setdefault(atom, 1 << len(bits))
+
+    def mask(atoms, values: tuple[str, ...]) -> int:
+        """The bits of a template's atoms, (predicate, term slots) each."""
+        out = 0
+        for pred, at in atoms:
+            out |= bit_of((pred, *[values[i] for i in at]))
+        return out
+
+    def fold(literals, values: tuple[str, ...]) -> tuple[bool, int, int]:
+        """``_fold`` on a template's literals, (predicate, term slots,
+        positive) each: statics and ``=`` are decided on ``static_init``."""
+        fires, pos, neg = True, 0, 0
+        for pred, at, positive in literals:
+            atom = (pred, *[values[i] for i in at])
+            if pred in fixed:
+                fires &= (atom[1] == atom[2] if pred == EQ else atom in static_init) == positive
+            elif positive:
+                pos |= bit_of(atom)
+            else:
+                neg |= bit_of(atom)
+        return fires, pos, neg
+
+    candidates = []
     for action in ground:
-        atoms = [literal.atom for literal in action.precondition]
-        for branch in action.effects:
-            atoms += [literal.atom for literal in branch.condition]
-            atoms += branch.deletes + branch.adds
-        for atom in atoms:
-            if atom not in bits and atom[0] != EQ and atom[0] not in statics:
-                bits[atom] = 1 << len(bits)
-    candidates = [_compile(action, bits, static_init) for action in ground]
+        schema = action.schema
+        precondition, effects = schema.template
+        values = action.args + schema.terms[schema.arity :]
+        _, pos, neg = fold(precondition, values)
+        deletes = adds = 0
+        branches = []
+        for condition, branch_adds, branch_deletes in effects:
+            fires, when_pos, when_neg = fold(condition, values)
+            when_deletes = mask(branch_deletes, values)
+            when_adds = mask(branch_adds, values)
+            if not fires:
+                continue
+            if when_pos or when_neg:
+                branches.append((when_pos, when_neg, when_deletes, when_adds))
+            else:
+                deletes |= when_deletes
+                adds |= when_adds
+        step = (schema.name,) + action.args
+        candidates.append((step, pos, neg, deletes, adds, tuple(branches)))
     needed = Counter(bit for candidate in candidates for bit in _split(candidate[1]))
     filed: dict = {}
     for i, candidate in enumerate(candidates):
@@ -438,31 +485,6 @@ def _fold(
         else:
             neg |= bit
     return fixed_hold, pos, neg
-
-
-def _compile(action: GroundAction, bits: dict, init: State) -> tuple:
-    """A candidate as (plan step, mask of the precondition atoms that must
-    hold, mask of those that must not, unconditional deletes, unconditional
-    adds, conditional branches).  Grounding has checked the static
-    precondition already.  A branch whose static condition fails never fires
-    and is dropped; one with nothing left to test is unconditional.  The rest
-    stay as masks (atoms that must hold, ones that must not, deletes, adds),
-    tested on the pre-state."""
-    _, pos, neg = _fold(action.precondition, bits, init)
-    deletes = adds = 0
-    branches = []
-    for branch in action.effects:
-        fires, when_pos, when_neg = _fold(branch.condition, bits, init)
-        if not fires:
-            continue
-        when_deletes, when_adds = _mask(branch.deletes, bits), _mask(branch.adds, bits)
-        if when_pos or when_neg:
-            branches.append((when_pos, when_neg, when_deletes, when_adds))
-        else:
-            deletes |= when_deletes
-            adds |= when_adds
-    step = (action.name,) + action.args
-    return step, pos, neg, deletes, adds, tuple(branches)
 
 
 def plan_batch(

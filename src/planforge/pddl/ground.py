@@ -12,12 +12,12 @@ from collections.abc import Iterator
 
 from planforge.pddl.model import (
     EQ,
+    Atom,
     Domain,
     GroundAction,
     Literal,
     Problem,
     State,
-    ground_schema,
 )
 from planforge.pddl.writer import render_literal
 
@@ -98,7 +98,7 @@ def ground_action_for(
                 f"object '{arg}' has type '{object_type[arg]}', but parameter "
                 f"'{param.name}' of '{name}' requires '{param.type}'",
             )
-    return ground_schema(action, args)
+    return GroundAction(action, args)
 
 
 def static_predicates(domain: Domain) -> frozenset[str]:
@@ -118,45 +118,76 @@ def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[Gro
     inapplicable in every reachable state, and the relative order of the
     applicable ones is kept.
 
-    Parameters are bound one at a time, in declaration order, each from its
-    type pool.  Each static or ``=`` precondition literal is compiled to a
-    tuple of argument slots and checked against the initial state as soon as
-    its last parameter is bound, so a failing prefix is never extended.
+    Parameters are bound level by level, in declaration order: each level
+    extends every partial binding kept so far by the objects of the next
+    parameter's type pool, in the pool's order.  Each static or ``=``
+    precondition literal is checked against the initial state at the level
+    that binds its last parameter, so a failing prefix is never extended.
+    The first positive static literal of a level that names its parameter
+    once is joined instead of checked: an index of the initial state, keyed
+    by the literal's other terms, lists the pool objects that make it true,
+    in pool order (Helmert, "Concise finite-domain representations for PDDL
+    planning tasks", AIJ 2009).
     """
     statics = static_predicates(domain)
     init = problem.init
+    atoms_of: dict[str, list[Atom]] = {}
+    for atom in init:
+        atoms_of.setdefault(atom[0], []).append(atom)
     for action in domain.actions:
         arity = action.arity
-        pools = [problem.objects_of_type(domain, p.type) for p in action.params]
-        slot_of = {t: i for i, t in enumerate(action.terms)}
-        # values[:arity] holds the arguments bound so far, the rest constants.
-        values = list(action.terms)
-        # checks[k]: (predicate, term slots, positive) of each static literal
-        # whose terms are all bound once k parameters are bound
-        checks: list[list[tuple[str, tuple[int, ...], bool]]] = [
-            [] for _ in range(arity + 1)
-        ]
+        # A row is a partial binding: the schema's constants, then the
+        # arguments bound so far.
+        consts = action.terms[arity:]
+        offset = len(consts)
+        slot_of = {t: offset + i if i < arity else i - arity for i, t in enumerate(action.terms)}
+        # checks[k]: (predicate, term slots, positive) of each static or ``=``
+        # literal whose terms are all bound once k parameters are bound
+        checks: list[list[tuple[str, tuple[int, ...], bool]]] = [[] for _ in range(arity + 1)]
         for literal in action.precondition:
             pred = literal.atom[0]
-            if pred != EQ and pred not in statics:
-                continue
-            slots = tuple(slot_of[t] for t in literal.atom[1:])
-            depth = max((s + 1 for s in slots if s < arity), default=0)
-            checks[depth].append((pred, slots, literal.positive))
+            if pred == EQ or pred in statics:
+                slots = tuple(slot_of[t] for t in literal.atom[1:])
+                depth = max((s - offset + 1 for s in slots if s >= offset), default=0)
+                checks[depth].append((pred, slots, literal.positive))
+        rows = [consts] if _passes(consts, checks[0], init) else []
+        for depth, param in enumerate(action.params):
+            pool = problem.objects_of_type(domain, param.type)
+            slot, tests = offset + depth, checks[depth + 1]
+            join = next((c for c in tests if c[2] and c[0] != EQ and c[1].count(slot) == 1), None)
+            if join is not None:
+                tests = [c for c in tests if c is not join]
+                pred, slots, _ = join
+                at = slots.index(slot)
+                rank = {obj: i for i, obj in enumerate(pool)}
+                index: dict[tuple[str, ...], list[str]] = {}
+                for atom in atoms_of.get(pred, ()):
+                    if atom[1 + at] in rank:
+                        key = atom[1 : 1 + at] + atom[2 + at :]
+                        index.setdefault(key, []).append(atom[1 + at])
+                for objs in index.values():
+                    objs.sort(key=rank.__getitem__)
+                keys = slots[:at] + slots[at + 1 :]
+            extended = []
+            for row in rows:
+                objs = pool if join is None else index.get(tuple([row[s] for s in keys]), ())
+                for obj in objs:
+                    new = row + (obj,)
+                    if _passes(new, tests, init):
+                        extended.append(new)
+            rows = extended
+        for row in rows:
+            yield GroundAction(action, row[offset:])
 
-        def walk(depth: int) -> Iterator[GroundAction]:
-            for pred, slots, positive in checks[depth]:
-                if pred == EQ:
-                    true = values[slots[0]] == values[slots[1]]
-                else:
-                    true = (pred, *[values[s] for s in slots]) in init
-                if true != positive:
-                    return
-            if depth == arity:
-                yield ground_schema(action, tuple(values[:arity]))
-                return
-            for obj in pools[depth]:
-                values[depth] = obj
-                yield from walk(depth + 1)
 
-        yield from walk(0)
+def _passes(row: tuple[str, ...], checks: list, init: State) -> bool:
+    """Whether every (predicate, term slots, positive) check holds for the
+    terms in ``row``, ``=`` by comparison and any other against ``init``."""
+    for pred, slots, positive in checks:
+        if pred == EQ:
+            true = row[slots[0]] == row[slots[1]]
+        else:
+            true = (pred, *[row[s] for s in slots]) in init
+        if true != positive:
+            return False
+    return True

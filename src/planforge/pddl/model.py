@@ -62,7 +62,7 @@ class Action:
     @cached_property
     def terms(self) -> tuple[str, ...]:
         """The parameter names in order, then every other term of the schema's
-        atoms; ``ground_schema`` fills the first ``arity`` with arguments."""
+        atoms; a ``GroundAction`` fills the first ``arity`` with arguments."""
         terms = [p.name for p in self.params]
         atoms = [l.atom for l in self.precondition]
         for branch in self.effects:
@@ -162,34 +162,48 @@ class Problem:
         return [name for name, t in self.objects if domain.is_subtype(t, type_name)]
 
 
-@dataclass(frozen=True)
 class GroundAction:
-    name: str
-    args: tuple[str, ...]
-    precondition: tuple[Literal, ...]
-    effects: tuple[EffectBranch, ...]
+    """A schema applied to one argument per parameter.
+
+    ``precondition`` and ``effects`` are the schema's with every term
+    replaced (see ``Action.template``), built together the first time
+    either is read, and then kept.  ``__getattr__`` builds them, since it
+    is called only while they are unset; ``functools.cached_property``
+    would take a lock on each first read on Python 3.11.  Grounding a
+    corpus shape thus builds no literal: ``reference_plan`` compiles its
+    candidates from the template.
+    """
+
+    __slots__ = ("schema", "args", "precondition", "effects")
+
+    def __init__(self, schema: Action, args: tuple[str, ...]) -> None:
+        self.schema = schema
+        self.args = args
+
+    def __getattr__(self, attr: str):
+        if attr not in ("precondition", "effects"):  # before any read of self
+            raise AttributeError(attr)
+        precondition, effects = self.schema.template
+        values = self.args + self.schema.terms[len(self.args) :]
+        self.precondition = _literals(precondition, values)
+        self.effects = tuple([
+            EffectBranch(
+                _literals(cond, values),
+                tuple([(p, *[values[i] for i in at]) for p, at in adds]),
+                tuple([(p, *[values[i] for i in at]) for p, at in deletes]),
+            )
+            for cond, adds, deletes in effects
+        ])
+        return getattr(self, attr)
+
+    @property
+    def name(self) -> str:
+        return self.schema.name
 
     @property
     def signature(self) -> str:
         return "(" + " ".join((self.name,) + self.args) + ")"
 
 
-def ground_schema(action: Action, args: tuple[str, ...]) -> GroundAction:
-    """Instantiate a schema with concrete arguments, one per parameter."""
-    precondition, effects = action.template
-    values = tuple(args) + action.terms[action.arity :]
-    return GroundAction(
-        action.name,
-        args,
-        tuple([Literal((p, *[values[i] for i in at]), pos) for p, at, pos in precondition]),
-        tuple(
-            [
-                EffectBranch(
-                    tuple([Literal((p, *[values[i] for i in at]), pos) for p, at, pos in cond]),
-                    tuple([(p, *[values[i] for i in at]) for p, at in adds]),
-                    tuple([(p, *[values[i] for i in at]) for p, at in deletes]),
-                )
-                for cond, adds, deletes in effects
-            ]
-        ),
-    )
+def _literals(template: tuple, values: tuple[str, ...]) -> tuple[Literal, ...]:
+    return tuple([Literal((p, *[values[i] for i in at]), pos) for p, at, pos in template])

@@ -1,9 +1,11 @@
 """A pool of planner workers: forked child processes that ``solve`` problems.
 
-This module imports the standard library alone, so that a command can fork
-its workers before it loads the PDDL reader and its stages, and each worker
-inherits only what the command had loaded by then.  A worker imports
-``planforge.drivers`` itself, before it reads its first problem.
+``planforge.drivers`` imports this module and re-exports ``PlannerPool`` and
+``SolveResult``, so this module imports the standard library alone.  A
+command forks its workers once it has loaded its stages, and with them
+``planforge.drivers``, so each worker inherits a loaded planner and imports
+nothing; a worker whose parent had not loaded ``planforge.drivers`` imports
+it before it reads its first problem.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import atexit
 import contextlib
 import gc
+import multiprocessing.process
 import os
 import signal
 import sys
@@ -27,8 +30,8 @@ if TYPE_CHECKING:
     from planforge.drivers import PlannerAdapter
 
 # How long a pool worker may stay silent past its problem's timeout before it
-# is killed; covers a fresh worker's import of ``planforge.drivers``, which a
-# worker forked before the command loaded it pays on its first problem.
+# is killed: the time a solve spends outside its planner's clock, reading its
+# inputs and checking the plan.
 _KILL_GRACE_S = 2.0
 
 
@@ -62,18 +65,18 @@ class PlannerPool:
     """``workers`` forked child processes that ``solve`` problems, from the
     moment the pool is made until it is closed.
 
-    A command opens one pool before it loads its stages and solves all its
-    batches on it, whatever their adapter, domain and timeout, so its
-    workers start once, while the command imports, and keep
-    ``reference_plan``'s grounding memo from batch to batch.  The pool
-    replaces a worker that hangs or dies, with the external planner it
-    reported, and nothing else (see ``solve_batch``).  ``close``, or leaving
-    a ``with`` block, stops every worker.  Workers are forked: each holds
-    what the parent had loaded when it forked, its stdin is ``/dev/null``,
-    and as it exits it runs the exit handlers registered before it forked,
-    but not the parent's ``weakref.finalize`` clean-ups.  Forking from a
-    process with other threads is the caller's risk.  A pool solves one
-    batch at a time.
+    A command opens one pool once it has loaded its stages, and solves all
+    its batches on it, whatever their adapter, domain and timeout, so its
+    workers start once and keep ``reference_plan``'s grounding memo from
+    batch to batch.  The pool replaces a worker that hangs or dies, with the
+    external planner it reported, and nothing else (see ``solve_batch``).
+    ``close``, or leaving a ``with`` block, stops every worker.  Workers are
+    forked: each holds what the parent had loaded when it forked, its stdin
+    is ``/dev/null``, and as it exits it runs the exit handlers registered
+    before it forked, but not the parent's ``weakref.finalize`` clean-ups,
+    and leaves the parent's ``multiprocessing`` children alone.  Forking
+    from a process with other threads is the caller's risk.  A pool solves
+    one batch at a time.
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -201,6 +204,10 @@ def _serve(conn: Connection, inherited: list[Connection]) -> NoReturn:
         gc.freeze()  # so that the worker's collections skip what it inherited
         for finalizer in list(weakref.finalize._registry):  # the parent's to run
             finalizer.detach()
+        # The parent's children, which ``multiprocessing``'s exit handler
+        # would terminate and fail to join; its own forked children forget
+        # them too.
+        multiprocessing.process._children.clear()
         for other in inherited:
             other.close()
         null = os.open(os.devnull, os.O_RDONLY)
@@ -219,9 +226,10 @@ def _work(conn: Connection) -> None:
     """Answer each (adapter, domain path, problem path, timeout) received on
     ``conn`` with ``solve``'s result until ``None`` arrives, sending an
     external planner's process group id first, as the planner starts.
-    ``planforge.drivers`` is imported before the first problem is read, and
-    ``solve`` is looked up on it, so that a wrapper set there sees every
-    solve.  The pipe's end of file means the command died."""
+    ``planforge.drivers`` is imported before the first problem is read (a
+    command loaded it before it forked), and ``solve`` is looked up on it,
+    so that a wrapper set there sees every solve.  The pipe's end of file
+    means the command died."""
     from planforge import drivers
 
     drivers._report_planner_group = conn.send

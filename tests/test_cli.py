@@ -118,52 +118,60 @@ def test_commands_import_only_what_they_use(tmp_path):
     ])
 
 
-# Stage code: what a command must not have loaded when its workers start.
-STAGE_MODULES = ("planforge.session", "planforge.generate", "planforge.dataset",
-                 "planforge.pddl")
-
-
-def stage_modules_at_worker_starts(argv: list[str]) -> tuple[int, list[list[str]]]:
-    """The exit code of one CLI run in a fresh interpreter, and the stage
-    modules loaded at each fork: with the bundled adapter, only the pool
-    forks, once per worker.  Every fork is from a single-threaded process."""
+def modules_at_worker_starts(argv: list[str]) -> tuple[int, list[set[str]]]:
+    """The exit code of one CLI run in a fresh interpreter, and the modules
+    loaded at each fork: with the bundled adapter, only the pool forks, once
+    per worker.  Every fork is from a single-threaded process."""
     code, loaded, threads = run_fresh(
         "import json, os, sys, threading\n"
         "from planforge.cli import main\n"
         "loaded, threads, fork = [], [], os.fork\n"
         "def spy():\n"
-        f"    loaded.append(sorted(m for m in sys.modules if m.startswith({STAGE_MODULES!r})))\n"
+        "    loaded.append(sorted(sys.modules))\n"
         "    threads.append(threading.active_count())\n"
         "    return fork()\n"
         "os.fork = spy\n"
         f"print(json.dumps([main({argv!r}), loaded, threads]))\n"
     )
     assert threads == [1] * len(loaded)
-    return code, loaded
+    return code, [set(modules) for modules in loaded]
 
 
-def test_workers_start_before_any_stage_code_loads(tmp_path):
+def test_workers_fork_with_the_planner_loaded(tmp_path):
+    # every module that one in-process solve loads, planforge.drivers included
+    solve_modules = set(run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import load_adapters, solve\n"
+        "result = solve(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+        "               assets_dir() / 'artic3_micro.pddl')\n"
+        "assert result.status == 'solved', result\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    ))
+    assert "planforge.drivers" in solve_modules
     assert main(_gen_problems(tmp_path / "s")) == 0
-    assert stage_modules_at_worker_starts(
-        ["plan", "--session", str(tmp_path / "s"), "--workers", "2"]) == (0, [[], []])
+    code, loaded = modules_at_worker_starts(
+        ["plan", "--session", str(tmp_path / "s"), "--workers", "2"])
+    assert (code, len(loaded)) == (0, 2)
+    assert all(solve_modules <= modules for modules in loaded)
     config = tmp_path / "pipeline.json"
-    config.write_text(json.dumps({
+    raw = {
         "seed": 23,
         "domains": [{"domain": ARTIC3_DOMAIN, "dpgc": ARTIC3_CONFIG, "count": 4}],
         "quotas": {"train": 2},
         "workers": 2,
-    }))
-    assert stage_modules_at_worker_starts(
-        ["pipeline", "--config", str(config), "--session", str(tmp_path / "run")]
-    ) == (0, [[], []])
-    # the pool and the config check alone load no PDDL code either
-    assert run_fresh(
-        "import json, sys\n"
-        "import planforge.pool\n"
-        "from planforge.shape import load_pipeline_config\n"
-        f"load_pipeline_config({str(config)!r})\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('planforge.pddl')]))\n"
-    ) == []
+    }
+    config.write_text(json.dumps(raw))
+    code, loaded = modules_at_worker_starts(
+        ["pipeline", "--config", str(config), "--session", str(tmp_path / "run")])
+    assert (code, len(loaded)) == (0, 2)
+    assert all(solve_modules <= modules for modules in loaded)
+    # a refused config starts no worker
+    config.write_text(json.dumps(dict(raw, workers=0)))
+    assert modules_at_worker_starts(
+        ["pipeline", "--config", str(config), "--session", str(tmp_path / "refused")]
+    ) == (2, [])
 
 
 def test_gen_problems_reports_and_skips(tmp_path, capsys):

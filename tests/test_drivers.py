@@ -432,6 +432,25 @@ def test_search_matches_the_literal_search_on_generated_problems(
     assert any(len(plan) > 1 for plan in plans)
 
 
+def test_search_matches_the_literal_search_on_thirty_problems_per_domain(
+    tmp_path, artic3, artic3m, artic3_config, artic3m_config
+):
+    # a domain's problems share one corpus shape, so all but the first are
+    # searched on the compiled candidates of the first one's grounding
+    for domain, config in ((artic3, artic3_config), (artic3m, artic3m_config)):
+        root = tmp_path / domain.name
+        generate_batch(config, domain, 30, 12, root / "problems", root / "journal.fp")
+        paths = sorted((root / "problems").iterdir())
+        assert len(paths) == 30
+        lengths = []
+        for path in paths:
+            problem = parse_problem(path.read_text(), domain)
+            plan = reference_plan(domain, problem)
+            assert plan == literal_bfs(domain, problem), path.name
+            lengths.append(len(plan))
+        assert max(lengths) > 1
+
+
 def test_search_matches_the_literal_search_on_conditional_effects():
     # (q) is static, so its branch is folded away or made unconditional;
     # the branches on (p) and (r) stay conditional
@@ -1022,6 +1041,26 @@ def test_a_worker_leaves_the_commands_temporary_directory_alone():
         with PlannerPool(1):
             pass
         assert Path(kept).is_dir()
+
+
+def test_a_worker_leaves_the_callers_multiprocessing_children_alone(tmp_path):
+    # each worker inherits multiprocessing's exit handler, which would
+    # terminate the caller's daemon child and fail to join it
+    script = (
+        "import multiprocessing, time\n"
+        "from planforge.pool import PlannerPool\n"
+        "child = multiprocessing.get_context('fork').Process(\n"
+        "    target=time.sleep, args=(3,), daemon=True)\n"
+        "child.start()\n"
+        "with PlannerPool(1):\n"
+        "    pass\n"
+        "child.join(0.5)\n"
+        "print(child.exitcode)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=_SCRIPT_ENV, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "None\n"), run.stderr
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

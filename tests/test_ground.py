@@ -83,6 +83,111 @@ def test_grounding_matches_the_oracle_on_edge_cases():
     ]
 
 
+# Static literals at each place the grounder's join touches: a literal
+# that names its new parameter twice ((adj ?y ?y) in twice, tested before the
+# joined (adj ?x ?y)), a joined literal whose new parameter comes first
+# ((adj ?y ?x) in chain), negative static literals, = between parameters,
+# 0-ary statics that hold ((ready)) and fail ((open)), and a type whose pool
+# is empty (ghost).  anchor gains a constant below.
+JOINS = """
+(define (domain joins)
+  (:requirements :strips :typing :negative-preconditions :equality)
+  (:types block place ghost - object heavy - block)
+  (:predicates (adj ?a - object ?b - object) (link ?a - object ?b - object ?c - object)
+               (ready) (open) (marked ?b - object) (haunts ?g - ghost))
+  (:action twice
+    :parameters (?x - block ?y - block)
+    :precondition (and (ready) (adj ?y ?y) (adj ?x ?y) (not (adj ?y ?x)) (not (marked ?y)))
+    :effect (and (marked ?x)))
+  (:action chain
+    :parameters (?x - object ?y - block ?z - place)
+    :precondition (and (not (open)) (adj ?y ?x) (link ?x ?y ?z) (not (= ?x ?y)))
+    :effect (and (marked ?y) (not (marked ?x))))
+  (:action same
+    :parameters (?x - block ?y - block)
+    :precondition (and (= ?x ?y) (adj ?x ?y))
+    :effect (and (marked ?x)))
+  (:action closed
+    :parameters (?x - block)
+    :precondition (and (open) (adj ?x ?x))
+    :effect (and (marked ?x)))
+  (:action spook
+    :parameters (?x - block ?g - ghost)
+    :precondition (and (adj ?x ?x) (haunts ?g))
+    :effect (and (marked ?x)))
+  (:action anchor
+    :parameters (?x - block ?y - place)
+    :precondition (and (adj ?x ?x))
+    :effect (and (marked ?y))))
+"""
+
+# Every object of the joins problem; the init atoms over them include ones
+# that name objects outside a parameter's pool (a place where a block is
+# wanted, say).
+JOINS_OBJECTS = ("b1", "b2", "b3", "h1", "p1", "p2", "p3")
+
+
+def joins_domain():
+    """JOINS, with anchor's precondition replaced: a joined literal with a
+    constant ahead of the new parameter, and a negative one with a constant
+    (the parser does not accept constants in a domain)."""
+    domain = parse_domain(JOINS)
+    anchor = dataclasses.replace(domain.actions[-1], precondition=(
+        Literal(("link", "p1", "?x", "?y")), Literal(("adj", "?y", "p2"), False)))
+    return dataclasses.replace(domain, actions=domain.actions[:-1] + (anchor,))
+
+
+def joins_problem(domain, atoms):
+    init = " ".join("(" + " ".join(atom) + ")" for atom in atoms)
+    return parse_problem(
+        "(define (problem j) (:domain joins)"
+        " (:objects b1 b2 b3 - block h1 - heavy p1 p2 p3 - place)"
+        f" (:init {init}) (:goal (marked b1)))", domain)
+
+
+def fields(action):
+    return (action.name, action.args, action.precondition, action.effects)
+
+
+def test_grounding_matches_the_oracle_where_the_join_applies():
+    domain = joins_domain()
+    problem = joins_problem(domain, [
+        ("ready",), ("adj", "b1", "b1"), ("adj", "b2", "b2"), ("adj", "h1", "h1"),
+        ("adj", "b1", "b2"), ("adj", "b2", "b1"), ("adj", "b3", "b2"), ("adj", "h1", "b2"),
+        ("adj", "b1", "p1"), ("adj", "p1", "b1"), ("adj", "p2", "b2"), ("adj", "p2", "p2"),
+        ("link", "p1", "b1", "p2"), ("link", "p1", "b1", "b2"), ("link", "p1", "h1", "p3"),
+        ("link", "p1", "h1", "p2"), ("link", "p2", "b2", "p1"), ("link", "b1", "b2", "p3"),
+        ("marked", "b2"),
+    ])
+    candidates = list(iter_applicable_candidates(domain, problem))
+    expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
+    assert [fields(c) for c in candidates] == [fields(a) for a in expected]
+    assert [c.signature for c in candidates] == [
+        "(twice b3 b2)", "(twice h1 b2)",
+        "(chain b1 b2 p3)", "(chain p1 b1 p2)",
+        "(same b1 b1)", "(same b2 b2)", "(same h1 h1)",
+        "(anchor h1 p3)",
+    ]
+
+
+def test_grounding_matches_the_oracle_on_random_initial_states():
+    domain = joins_domain()
+    every = [("ready",), ("open",)]
+    every += [("adj", a, b) for a in JOINS_OBJECTS for b in JOINS_OBJECTS]
+    every += [("link", a, b, c) for a in JOINS_OBJECTS for b in JOINS_OBJECTS
+              for c in JOINS_OBJECTS]
+    rng = random.Random("joins")
+    sizes = []
+    for _ in range(40):
+        share = rng.choice((0.1, 0.3, 0.6))
+        problem = joins_problem(domain, [a for a in every if rng.random() < share])
+        candidates = list(iter_applicable_candidates(domain, problem))
+        expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
+        assert [fields(c) for c in candidates] == [fields(a) for a in expected]
+        sizes.append(len(candidates))
+    assert min(sizes) < 10 < max(sizes)
+
+
 def test_static_predicates(artic3):
     assert static_predicates(artic3) == frozenset(
         {"adjacent", "downstream", "is-rotatable", "next-cw"}
