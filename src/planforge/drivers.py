@@ -11,8 +11,8 @@ The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
 runs every solve on a ``PlannerPool`` (``planforge.pool``, re-exported here
-with ``SolveResult``): child processes that a command forks once and keeps
-for all its batches, each replaced alone if it hangs or dies.
+with ``SolveResult``): child processes that a command's first batch forks
+and keeps for all its batches, each replaced alone if it hangs or dies.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import os
 import re
 import subprocess
 import sys
@@ -494,18 +493,17 @@ def plan_batch(
     plans_dir: str | Path,
     *,
     timeout: float | None = None,
-    pool: PlannerPool | None = None,
-    log_path: str | Path | None = None,
+    pool: PlannerPool,
+    log_path: str | Path,
 ) -> list[SolveResult]:
     """Solve a set of problems and keep the plans that ``solve`` found
     valid; returns one result per problem, in order.
 
     Every problem is solved on ``pool``'s workers, whatever the adapter (see
-    ``PlannerPool``); without a pool, the batch opens a one-worker pool of
-    its own and closes it before returning.  A worker's ``solve`` decides
-    each status; this process only writes a ``solved`` result's plan whole
-    to ``<problem>.plan`` as it arrives, and logs one line per problem: id,
-    status, wall time, plan length (``-`` when there is none).
+    ``PlannerPool``).  A worker's ``solve`` decides each status; this
+    process only writes a ``solved`` result's plan whole to
+    ``<problem>.plan`` as it arrives, and logs to ``log_path`` one line per
+    problem: id, status, wall time, plan length (``-`` when there is none).
     """
     plans_dir = Path(plans_dir)
     plans_dir.mkdir(parents=True, exist_ok=True)
@@ -513,8 +511,7 @@ def plan_batch(
 
     results: list[SolveResult | None] = [None] * len(problem_paths)
     with (
-        PlannerPool() if pool is None else contextlib.nullcontext(pool) as pool,
-        open(log_path if log_path is not None else os.devnull, "a") as log,
+        open(log_path, "a") as log,
         # Closed on the way out, so that a batch that stops early stops the
         # workers still busy with it.
         contextlib.closing(

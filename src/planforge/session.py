@@ -19,7 +19,6 @@ to continue silently when the inputs changed.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -39,8 +38,7 @@ from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_b
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
 # StageError and the pipeline config's check live in shape, which loads no
-# PDDL code, so that a command can check its config before it loads this
-# module; they are re-exported here.
+# PDDL code; they are re-exported here.
 from planforge.shape import _PIPELINE, WHOLE, Object, StageError, load, load_pipeline_config, refuse
 
 
@@ -203,11 +201,10 @@ def stage_plan(
     adapter: PlannerAdapter,
     *,
     timeout: float | None = None,
-    pool: PlannerPool | None = None,
+    pool: PlannerPool,
 ) -> dict:
     """Plan every problem that does not have a plan file yet, on ``pool``'s
-    workers (see ``plan_batch``; without a pool, on one worker started for
-    this call).
+    workers (see ``plan_batch``).
 
     Plans are only written if they validate, so rerunning after an
     interruption picks up exactly the unplanned remainder.  A session keeps
@@ -285,7 +282,7 @@ def stage_assemble(
     return manifest
 
 
-def run_pipeline(config: dict, root: str | Path, pool: PlannerPool | None = None) -> dict:
+def run_pipeline(config: dict, root: str | Path, pool: PlannerPool) -> dict:
     """Generate, plan, top up shortfalls, assemble, audit.
 
     Each domain is generated and planned in its own sub-session.  When fewer
@@ -293,8 +290,7 @@ def run_pipeline(config: dict, root: str | Path, pool: PlannerPool | None = None
     count is raised by the missing amount and the generate/plan stages run
     again, at most ``MAX_ROUNDS`` times.  Every round of every domain plans
     on ``pool``, which the caller opened with ``config["workers"]`` workers
-    and closes.  Without one, the run opens such a pool once its inputs are
-    checked, and closes it before assembly, and also when a stage fails.
+    and closes.
     """
     root = Path(root)
     pipeline = Session(root)
@@ -323,40 +319,34 @@ def run_pipeline(config: dict, root: str | Path, pool: PlannerPool | None = None
 
     summary: dict = {"domains": {}}
     all_records: list[DatasetRecord] = []
-    with (
-        PlannerPool(config.get("workers", 1)) if pool is None
-        else contextlib.nullcontext(pool) as pool
-    ):
-        for entry, domain_name in zip(config["domains"], names):
-            sub = Session(root / domain_name)
-            target = entry["count"]
-            usable = 0
-            rounds = 0
-            while True:
-                rounds += 1
-                gen = stage_generate(sub, entry["dpgc"], entry["domain"], target, seed)
-                plan = stage_plan(
-                    sub, adapter, timeout=config.get("timeout"), pool=pool
+    for entry, domain_name in zip(config["domains"], names):
+        sub = Session(root / domain_name)
+        target = entry["count"]
+        usable = 0
+        rounds = 0
+        while True:
+            rounds += 1
+            gen = stage_generate(sub, entry["dpgc"], entry["domain"], target, seed)
+            plan = stage_plan(sub, adapter, timeout=config.get("timeout"), pool=pool)
+            records, skipped = collect_records(sub)
+            usable = len(records)
+            if usable >= needed_per_domain:
+                break
+            if rounds >= MAX_ROUNDS:
+                raise StageError(
+                    f"domain '{domain_name}': still {needed_per_domain - usable} "
+                    f"record(s) short after {rounds} round(s)"
                 )
-                records, skipped = collect_records(sub)
-                usable = len(records)
-                if usable >= needed_per_domain:
-                    break
-                if rounds >= MAX_ROUNDS:
-                    raise StageError(
-                        f"domain '{domain_name}': still {needed_per_domain - usable} "
-                        f"record(s) short after {rounds} round(s)"
-                    )
-                target += needed_per_domain - usable
-            all_records.extend(records)
-            summary["domains"][domain_name] = {
-                "target": target,
-                "usable": usable,
-                "skipped_without_plan": len(skipped),
-                "generate": gen,
-                "plan": plan,
-                "rounds": rounds,
-            }
+            target += needed_per_domain - usable
+        all_records.extend(records)
+        summary["domains"][domain_name] = {
+            "target": target,
+            "usable": usable,
+            "skipped_without_plan": len(skipped),
+            "generate": gen,
+            "plan": plan,
+            "rounds": rounds,
+        }
 
     manifest = stage_assemble(all_records, quotas, seed, pipeline.dataset_dir)
     summary["dataset"] = manifest["counts"]

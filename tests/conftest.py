@@ -14,7 +14,34 @@ sys.path.insert(0, str(Path(__file__).parent))
 from planforge import assets_dir
 from planforge.dpgc import load_config
 from planforge.pddl.parser import parse_domain, parse_problem
+from planforge.pool import PlannerPool
 from planforge.shape import parse_record
+
+
+@pytest.fixture(autouse=True)
+def forks_from_one_thread():
+    """Fails a test that forks while this process runs another thread: the
+    child would inherit any lock that thread held, and could deadlock."""
+    fork, threads = os.fork, []
+
+    def counted():
+        threads.append(threading.active_count())
+        return fork()
+
+    os.fork = counted
+    try:
+        yield
+    finally:
+        os.fork = fork
+    if threads != [1] * len(threads):
+        pytest.fail(f"forked while {threads} thread(s) ran")
+
+
+@pytest.fixture
+def pool():
+    """A one-worker planner pool, closed after the test."""
+    with PlannerPool() as pool:
+        yield pool
 
 
 @pytest.fixture(scope="session")

@@ -322,7 +322,7 @@ def test_criterion_06_quotas_disjointness_and_revalidation(
 
 
 @pytest.mark.usefixtures("src_on_pythonpath")
-def test_criterion_07_planner_driver_robustness(tmp_path, artic3, micro):
+def test_criterion_07_planner_driver_robustness(tmp_path, artic3, micro, pool):
     # one stub planner per failure mode
     ok = make_stub_adapter(
         tmp_path, f"open(OUTPUT, 'w').write({MICRO_PLAN!r})\n", name="ok")
@@ -396,7 +396,7 @@ def test_criterion_07_planner_driver_robustness(tmp_path, artic3, micro):
         "quotas": {"train": 6, "val": 2},
     }))
     summary = run_pipeline(
-        load_pipeline_config(pipeline_config), tmp_path / "run")
+        load_pipeline_config(pipeline_config), tmp_path / "run", pool)
     assert summary["dataset"] == {"input": summary["dataset"]["input"],
                                   "spillover": summary["dataset"]["spillover"],
                                   "train": 6, "val": 2}

@@ -62,7 +62,7 @@ def test_solve_key_names_the_problem(hook, tmp_path):
     assert hook.KEYS["solve"](call.args) == "artic3_000001"
 
 
-def test_info_reads_real_results(hook, tmp_path, monkeypatch, stub_endpoint):
+def test_info_reads_real_results(hook, tmp_path, monkeypatch, stub_endpoint, pool):
     generated = []
     generate_batch = session_module.generate_batch
 
@@ -74,7 +74,7 @@ def test_info_reads_real_results(hook, tmp_path, monkeypatch, stub_endpoint):
     session = Session(tmp_path / "micro")
     stage_generate(session, assets_dir() / "artic3.dpgc.json",
                    assets_dir() / "artic3.pddl", 2, 7)
-    planned = stage_plan(session, load_adapters()["internal"])
+    planned = stage_plan(session, load_adapters()["internal"], pool=pool)
     info = hook.INFO["generate_batch"](generated[0])
     assert (info["new"], info["replayed"]) == (2, 0)
     assert info["draws"] >= 2
@@ -99,13 +99,14 @@ def test_worker_solves_are_traced(tmp_path):
         problems.append(tmp_path / f"{stem}.pddl")
         problems[-1].write_text((assets_dir() / "artic3_micro.pddl").read_text())
     script = (
+        "import os\n"
         "from pathlib import Path\n"
         "from planforge import assets_dir\n"
         "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
         "with PlannerPool(2) as pool:\n"
         "    plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
         f"               [Path(p) for p in {[str(p) for p in problems]!r}],\n"
-        f"               {str(tmp_path / 'plans')!r}, pool=pool)\n"
+        f"               {str(tmp_path / 'plans')!r}, pool=pool, log_path=os.devnull)\n"
     )
     env = dict(os.environ, PLANFORGE_BENCH_TRACE=str(trace),
                PYTHONPATH=os.pathsep.join([str(BENCH / "hook"), str(SRC)]))

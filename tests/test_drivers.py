@@ -169,6 +169,12 @@ def micro_paths(tmp_path, artic3_domain_text, micro_text):
     return domain_path, problem_path
 
 
+def plan_unlogged(adapter, domain_path, problem_paths, plans_dir, **kwargs):
+    """``plan_batch`` with its log discarded."""
+    return plan_batch(adapter, domain_path, problem_paths, plans_dir,
+                      log_path=os.devnull, **kwargs)
+
+
 def test_solve_reads_plan_file(tmp_path, artic3_domain_text, micro_text):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     adapter = make_stub_adapter(
@@ -234,6 +240,33 @@ def _live_children() -> list[int]:
     pids = [int(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()]
     return [pid for pid in pids
             if _alive(pid) and (_stat(pid) or [0, 0])[1] == str(os.getpid())]
+
+
+@contextlib.contextmanager
+def _helper_thread(target, *args):
+    """Runs ``target(*args)`` on a helper thread while the block runs on
+    this one, and joins it after.  A pool forks from this thread alone, so
+    the block's batch must find the workers it needs already forked."""
+    helper = threading.Thread(target=target, args=args)
+    helper.start()
+    try:
+        yield
+    finally:
+        helper.join(timeout=60)
+    assert not helper.is_alive()
+
+
+def _kill_workers_once_kept(plan_file: Path, seen: list) -> None:
+    """Waits until ``plan_file`` is kept, then kills every worker from
+    outside, as the kernel's out-of-memory killer would; ``seen`` gets the
+    plan's text and the workers' pids."""
+    deadline = time.monotonic() + 30
+    while not plan_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    seen.append(plan_file.read_text())
+    seen.append(_live_children())
+    for worker in seen[1]:
+        os.kill(worker, signal.SIGKILL)
 
 
 def _nothing_outlives_the_pool() -> None:
@@ -623,7 +656,7 @@ def test_search_matches_the_literal_search_on_static_goals(
 
 
 def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
-                                           artic3_config):
+                                           artic3_config, pool):
     root = tmp_path / "s"
     generate_batch(artic3_config, artic3, 6, 21,
                    root / "problems", root / "journal.fp")
@@ -633,7 +666,7 @@ def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
     problems = sorted((root / "problems").iterdir())
     result = plan_batch(
         adapters["internal"], domain_path, problems,
-        root / "plans", log_path=root / "planning.log",
+        root / "plans", pool=pool, log_path=root / "planning.log",
     )
     assert len(result) == 6
     assert [entry.status for entry in result] == ["solved"] * 6
@@ -650,14 +683,14 @@ def test_plan_batch_writes_validated_plans(tmp_path, artic3, artic3_domain_text,
         int(length)
 
 
-def test_plan_batch_rejects_invalid_plans(tmp_path, artic3_domain_text, micro_text):
+def test_plan_batch_rejects_invalid_plans(tmp_path, artic3_domain_text, micro_text, pool):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     # the stub returns a well-formed but wrong plan: preconditions fail
     adapter = make_stub_adapter(
         tmp_path, "open(OUTPUT, 'w').write('(release gripper1 gripper2)\\n')\n",
     )
-    result = plan_batch(adapter, domain_path, [problem_path],
-                        tmp_path / "plans", log_path=tmp_path / "planning.log")
+    result = plan_batch(adapter, domain_path, [problem_path], tmp_path / "plans",
+                        pool=pool, log_path=tmp_path / "planning.log")
     (entry,) = result
     assert entry.status == "invalid"
     assert entry.plan_text is None
@@ -668,7 +701,7 @@ def test_plan_batch_rejects_invalid_plans(tmp_path, artic3_domain_text, micro_te
 
 @pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
 def test_a_problem_that_does_not_parse_is_crashed_and_named(
-    tmp_path, artic3_domain_text, micro_text, external
+    tmp_path, artic3_domain_text, micro_text, external, pool
 ):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     bad = tmp_path / "bad.pddl"
@@ -676,8 +709,8 @@ def test_a_problem_that_does_not_parse_is_crashed_and_named(
     adapter = load_adapters()["internal"]
     if external:
         adapter = make_stub_adapter(tmp_path, f"open(OUTPUT, 'w').write({MICRO_PLAN!r})\n")
-    crashed, solved = plan_batch(adapter, domain_path, [bad, problem_path],
-                                 tmp_path / "plans")
+    crashed, solved = plan_unlogged(adapter, domain_path, [bad, problem_path],
+                                    tmp_path / "plans", pool=pool)
     assert crashed.status == "crashed"
     assert crashed.detail.startswith(f"{bad}: line ")
     assert "unknown predicate 'nope'" in crashed.detail
@@ -694,7 +727,7 @@ def test_solve_names_a_domain_it_cannot_read(tmp_path, artic3_domain_text, micro
 
 
 def test_the_batch_process_neither_parses_problems_nor_validates(
-    tmp_path, artic3_domain_text, micro_text, monkeypatch
+    tmp_path, artic3_domain_text, micro_text, monkeypatch, pool
 ):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     calls = []
@@ -711,8 +744,8 @@ def test_the_batch_process_neither_parses_problems_nor_validates(
         monkeypatch.setattr(drivers, name, counted(name))
     stub = make_stub_adapter(tmp_path, f"open(OUTPUT, 'w').write({MICRO_PLAN!r})\n")
     for adapter in (load_adapters()["internal"], stub):
-        (entry,) = plan_batch(adapter, domain_path, [problem_path],
-                              tmp_path / adapter.name)
+        (entry,) = plan_unlogged(adapter, domain_path, [problem_path],
+                                 tmp_path / adapter.name, pool=pool)
         assert entry.status == "solved"
     assert calls == []
 
@@ -732,8 +765,8 @@ def test_output_that_is_not_utf8_is_crashed_and_the_worker_stays(
         output=output,
     )
     with PlannerPool(1) as pool:
-        results = plan_batch(adapter, domain_path, [problem_path, problem_path],
-                             tmp_path / "plans", pool=pool)
+        results = plan_unlogged(adapter, domain_path, [problem_path, problem_path],
+                                tmp_path / "plans", pool=pool)
     assert [r.status for r in results] == ["crashed", "crashed"]
     assert all("'utf-8' codec can't decode byte 0xff" in r.detail for r in results)
     assert all(r.wall_time > 0 for r in results)
@@ -744,7 +777,7 @@ def test_output_that_is_not_utf8_is_crashed_and_the_worker_stays(
 
 
 def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_text,
-                                                artic3_config):
+                                                artic3_config, pool):
     root = tmp_path / "s"
     generate_batch(artic3_config, artic3, 8, 33,
                    root / "problems", root / "journal.fp")
@@ -752,11 +785,11 @@ def test_plan_batch_parallel_matches_sequential(tmp_path, artic3, artic3_domain_
     domain_path.write_text(artic3_domain_text)
     adapters = load_adapters()
     problems = sorted((root / "problems").iterdir())
-    seq = plan_batch(adapters["internal"], domain_path, problems,
-                     root / "plans-seq")
+    seq = plan_unlogged(adapters["internal"], domain_path, problems,
+                        root / "plans-seq", pool=pool)
     with PlannerPool(4) as pool:
-        par = plan_batch(adapters["internal"], domain_path, problems,
-                         root / "plans-par", pool=pool)
+        par = plan_unlogged(adapters["internal"], domain_path, problems,
+                            root / "plans-par", pool=pool)
     for problem in problems:
         plan = f"{problem.stem}.plan"
         assert (root / "plans-seq" / plan).read_text() == (
@@ -775,10 +808,10 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
     problems = sorted((root / "problems").iterdir())
     # one pool serves both batches, and nothing of it outlives its close
     with PlannerPool(2) as pool:
-        pooled = plan_batch(load_adapters()["internal"], domain_path, problems,
-                            root / "plans-pool", pool=pool)
-        spawned = plan_batch(subprocess_refplan(), domain_path, problems,
-                             root / "plans-subprocess", pool=pool)
+        pooled = plan_unlogged(load_adapters()["internal"], domain_path, problems,
+                               root / "plans-pool", pool=pool)
+        spawned = plan_unlogged(subprocess_refplan(), domain_path, problems,
+                                root / "plans-subprocess", pool=pool)
     assert [e.status for e in pooled] == [e.status for e in spawned]
     assert any(e.status == "solved" for e in pooled)
     for problem, ours in zip(problems, pooled):
@@ -790,15 +823,15 @@ def test_plan_batch_in_process_matches_subprocess(tmp_path, artic3, artic3_domai
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_text):
+def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_text, pool):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     # opening a named pipe nobody writes to blocks the worker before search
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
     timeout = 0.5
     start = time.monotonic()
-    result = plan_batch(load_adapters()["internal"], domain_path,
-                        [stuck, problem_path], tmp_path / "plans", timeout=timeout)
+    result = plan_unlogged(load_adapters()["internal"], domain_path, [stuck, problem_path],
+                           tmp_path / "plans", timeout=timeout, pool=pool)
     elapsed = time.monotonic() - start
     stuck_entry, micro_entry = result
     assert stuck_entry.status == "timeout"
@@ -807,37 +840,29 @@ def test_plan_batch_kills_a_stuck_worker(tmp_path, artic3_domain_text, micro_tex
     # the problem still pending ran on a fresh worker
     assert micro_entry.status == "solved"
     assert elapsed < timeout + _KILL_GRACE_S + 10
+    pool.close()
     _nothing_outlives_the_pool()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
-    tmp_path, artic3_domain_text, micro_text
+    tmp_path, artic3_domain_text, micro_text, pool
 ):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
-    results = []
-    batch = threading.Thread(target=lambda: results.append(plan_batch(
-        load_adapters()["internal"], domain_path, [problem_path, stuck],
-        tmp_path / "plans", timeout=60,
-    )))
-    batch.start()
-    # the first plan is on disk while the batch is still running
-    plan_file = tmp_path / "plans" / "problem.plan"
-    deadline = time.monotonic() + 30
-    while not plan_file.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert plan_file.read_text() == MICRO_PLAN
-    assert batch.is_alive()
-    # the worker dies from outside, as under the kernel's out-of-memory killer
-    for worker in _live_children():
-        os.kill(worker, signal.SIGKILL)
-    batch.join(timeout=60)
-    assert not batch.is_alive()
-    solved, killed = results[0]
+    internal = load_adapters()["internal"]
+    # the worker forks before the helper thread starts
+    plan_unlogged(internal, domain_path, [problem_path], tmp_path / "warm", pool=pool)
+    seen = []
+    with _helper_thread(_kill_workers_once_kept, tmp_path / "plans" / "problem.plan", seen):
+        solved, killed = plan_unlogged(internal, domain_path, [problem_path, stuck],
+                                       tmp_path / "plans", timeout=60, pool=pool)
+    # the first plan was on disk while the batch was still running
+    assert seen[0] == MICRO_PLAN
     assert (solved.status, killed.status) == ("solved", "crashed")
+    pool.close()
     _nothing_outlives_the_pool()
 
 
@@ -862,8 +887,8 @@ def test_one_pool_plans_as_one_pool_per_batch(tmp_path, artic3, artic3m,
         for name, problems, timeout in batches:
             problems = problems or sorted((root / name / "problems").iterdir())
             with pool_of() as pool:
-                results += plan_batch(internal, root / name / "domain.pddl", problems,
-                                      out / name, timeout=timeout, pool=pool)
+                results += plan_unlogged(internal, root / name / "domain.pddl", problems,
+                                         out / name, timeout=timeout, pool=pool)
         return results
 
     with PlannerPool(2) as shared:
@@ -888,25 +913,18 @@ def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
     internal = load_adapters()["internal"]
-    results = []
     with PlannerPool(2) as pool:
-        batch = threading.Thread(target=lambda: results.append(plan_batch(
-            internal, domain_path, [problem_path, stuck], tmp_path / "plans",
-            timeout=60, pool=pool,
-        )))
-        batch.start()
-        plan_file = tmp_path / "plans" / "problem.plan"
-        deadline = time.monotonic() + 30
-        while not plan_file.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # both workers fork before the helper thread starts
+        plan_unlogged(internal, domain_path, [problem_path] * 2, tmp_path / "warm",
+                      pool=pool)
+        seen = []
         # both workers die: the one stuck on the pipe and the idle one
-        victims = _live_children()
-        for worker in victims:
-            os.kill(worker, signal.SIGKILL)
-        batch.join(timeout=60)
-        assert not batch.is_alive()
+        with _helper_thread(_kill_workers_once_kept, tmp_path / "plans" / "problem.plan",
+                            seen):
+            solved, killed = plan_unlogged(internal, domain_path, [problem_path, stuck],
+                                           tmp_path / "plans", timeout=60, pool=pool)
+        victims = seen[1]
         assert len(victims) == 2
-        solved, killed = results[0]
         assert (solved.status, killed.status) == ("solved", "crashed")
         # the idle one is dead; the pool reaps it when it next reaches it
         deadline = time.monotonic() + 30
@@ -918,7 +936,7 @@ def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
         for stem in ("b", "c", "d"):
             others.append(tmp_path / f"{stem}.pddl")
             others[-1].write_text(micro_text)
-        again = plan_batch(internal, domain_path, others, tmp_path / "plans", pool=pool)
+        again = plan_unlogged(internal, domain_path, others, tmp_path / "plans", pool=pool)
         assert [e.status for e in again] == ["solved"] * 3
         assert len(_live_children()) <= 2
     _nothing_outlives_the_pool()
@@ -928,7 +946,7 @@ def test_closing_one_pool_leaves_another_pools_workers_alone(tmp_path):
     # in a child process, so that a close that waits on the other pool's
     # worker fails by timeout instead of hanging the suite
     script = (
-        "import multiprocessing\n"
+        "import multiprocessing, os\n"
         "from multiprocessing import resource_tracker\n"
         "from planforge import assets_dir\n"
         "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
@@ -939,8 +957,10 @@ def test_closing_one_pool_leaves_another_pools_workers_alone(tmp_path):
         "with PlannerPool() as outer:\n"
         "    with PlannerPool() as inner:\n"
         "        for pool in (inner, outer):\n"
-        "            plan_batch(internal, domain, problems, plans, pool=pool)\n"
-        "    (entry,) = plan_batch(internal, domain, problems, plans, pool=outer)\n"
+        "            plan_batch(internal, domain, problems, plans, pool=pool,\n"
+        "                       log_path=os.devnull)\n"
+        "    (entry,) = plan_batch(internal, domain, problems, plans, pool=outer,\n"
+        "                          log_path=os.devnull)\n"
         "    assert entry.status == 'solved'\n"
         "assert multiprocessing.active_children() == []\n"
         "assert resource_tracker._resource_tracker._pid is None\n"
@@ -963,8 +983,8 @@ def test_a_batch_left_early_stops_its_busy_workers(tmp_path, monkeypatch,
     monkeypatch.setattr(drivers, "atomic_write", full_disk)
     start = time.monotonic()
     with PlannerPool(2) as pool, pytest.raises(OSError, match="no space left"):
-        plan_batch(load_adapters()["internal"], domain_path, [problem_path, stuck],
-                   tmp_path / "plans", timeout=60, pool=pool)
+        plan_unlogged(load_adapters()["internal"], domain_path, [problem_path, stuck],
+                      tmp_path / "plans", timeout=60, pool=pool)
     assert time.monotonic() - start < 30
     _nothing_outlives_the_pool()
 
@@ -972,11 +992,13 @@ def test_a_batch_left_early_stops_its_busy_workers(tmp_path, monkeypatch,
 # A command that opens a pool and plans the micro problem, with planforge
 # imported from this checkout.
 _PLAN_MICRO = (
+    "import os\n"
     "from planforge import assets_dir\n"
     "from planforge.drivers import PlannerPool, load_adapters, plan_batch\n"
     "pool = PlannerPool()\n"
     "(entry,) = plan_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
-    "                      [assets_dir() / 'artic3_micro.pddl'], 'plans', pool=pool)\n"
+    "                      [assets_dir() / 'artic3_micro.pddl'], 'plans', pool=pool,\n"
+    "                      log_path=os.devnull)\n"
 )
 _SCRIPT_ENV = dict(os.environ, PYTHONPATH=str(Path(drivers.__file__).resolve().parents[1]))
 
@@ -1038,8 +1060,9 @@ def test_no_worker_prints_the_commands_pending_output(tmp_path):
 def test_a_worker_leaves_the_commands_temporary_directory_alone():
     # the directory's clean-up at exit is registered before the pool forks
     with tempfile.TemporaryDirectory() as kept:
-        with PlannerPool(1):
-            pass
+        with PlannerPool(1) as pool:
+            list(pool.solve_batch(load_adapters()["internal"], assets_dir() / "artic3.pddl",
+                                  [assets_dir() / "artic3_micro.pddl"], 60))
         assert Path(kept).is_dir()
 
 
@@ -1048,12 +1071,14 @@ def test_a_worker_leaves_the_callers_multiprocessing_children_alone(tmp_path):
     # terminate the caller's daemon child and fail to join it
     script = (
         "import multiprocessing, time\n"
-        "from planforge.pool import PlannerPool\n"
+        "from planforge import assets_dir\n"
+        "from planforge.drivers import PlannerPool, load_adapters\n"
         "child = multiprocessing.get_context('fork').Process(\n"
         "    target=time.sleep, args=(3,), daemon=True)\n"
         "child.start()\n"
-        "with PlannerPool(1):\n"
-        "    pass\n"
+        "with PlannerPool(1) as pool:\n"
+        "    list(pool.solve_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
+        "                          [assets_dir() / 'artic3_micro.pddl'], 60))\n"
         "child.join(0.5)\n"
         "print(child.exitcode)\n"
     )
@@ -1127,9 +1152,54 @@ def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
         return start(pool)
 
     monkeypatch.setattr(PlannerPool, "_start", spy)
-    summary = run_pipeline(_two_domain_config(tmp_path), tmp_path / "run")
+    with PlannerPool(2) as pool:
+        summary = run_pipeline(_two_domain_config(tmp_path), tmp_path / "run", pool)
     assert [info["rounds"] > 1 for info in summary["domains"].values()] == [True, True]
     assert len(started) == 2
+    _nothing_outlives_the_pool()
+
+
+def _spy_on_starts(monkeypatch) -> list:
+    """The pools that fork a worker, one entry per fork, from now on."""
+    started = []
+    start = PlannerPool._start
+
+    def spy(pool):
+        started.append(pool)
+        return start(pool)
+
+    monkeypatch.setattr(PlannerPool, "_start", spy)
+    return started
+
+
+def test_plan_forks_no_worker_when_every_problem_has_a_plan(tmp_path, monkeypatch,
+                                                            capsys, pool):
+    session = Session(tmp_path / "s")
+    stage_generate(session, assets_dir() / "artic3.dpgc.json",
+                   assets_dir() / "artic3.pddl", 3, 17)
+    stage_plan(session, load_adapters()["internal"], pool=pool)
+    started = _spy_on_starts(monkeypatch)
+    capsys.readouterr()
+    assert main(["plan", "--session", str(session.root), "--workers", "2"]) == 0
+    assert capsys.readouterr().out == "planned 3/3 (attempted 0; nothing to do)\n"
+    assert started == []
+
+
+def test_a_batch_forks_only_the_workers_it_needs(tmp_path, monkeypatch,
+                                                  artic3_domain_text, micro_text):
+    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
+    internal = load_adapters()["internal"]
+    started = _spy_on_starts(monkeypatch)
+    with PlannerPool(3) as pool:
+        assert started == []
+        (entry,) = plan_unlogged(internal, domain_path, [problem_path], tmp_path / "plans",
+                                 pool=pool)
+        assert entry.status == "solved"
+        assert len(started) == 1
+        again = plan_unlogged(internal, domain_path, [problem_path] * 3, tmp_path / "plans",
+                              pool=pool)
+        assert [e.status for e in again] == ["solved"] * 3
+        assert len(started) == 3
     _nothing_outlives_the_pool()
 
 
@@ -1142,13 +1212,13 @@ def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(session_module, "MAX_ROUNDS", 2)
     config = _two_domain_config(tmp_path, adapter="fails",
                                 adapters_file=str(registry))
-    with pytest.raises(StageError, match="short after 2 round"):
-        run_pipeline(config, tmp_path / "run")
+    with PlannerPool(2) as pool, pytest.raises(StageError, match="short after 2 round"):
+        run_pipeline(config, tmp_path / "run", pool)
     _nothing_outlives_the_pool()
 
 
 @pytest.mark.parametrize("fault, workers_started", [
-    ("second domain does not parse", 2),
+    ("second domain does not parse", 0),
     ("config missing", 0),
     ("config refused", 0),
 ])
@@ -1207,38 +1277,37 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
         args=("-c", 'echo $$ $PPID "$1" >> "$0"; sleep 30', str(pids), "{problem}"),
         timeout=2,
     )
-    results = []
+    planners = []
 
-    def run_batch():
-        with PlannerPool(2) as pool:
-            results.append(plan_batch(adapter, domain_path, [problem_path, other_path],
-                                      tmp_path / "plans", pool=pool))
-
-    batch = threading.Thread(target=run_batch)
-    batch.start()
-    try:
+    def kill_a_worker():
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline and (
             not pids.exists() or len(pids.read_text().splitlines()) < 2
         ):
             time.sleep(0.01)
-        (victim, worker, victim_problem), (sibling, sibling_worker, _) = (
-            line.split() for line in pids.read_text().splitlines()
-        )
-        assert worker != sibling_worker  # both planners run at once
+        planners.extend(line.split() for line in pids.read_text().splitlines())
         # a worker reports its planner's group as soon as the planner starts;
         # give that report time to arrive
         time.sleep(0.2)
         # the worker dies from outside, as under the kernel's out-of-memory killer
-        os.kill(int(worker), signal.SIGKILL)
-        batch.join(timeout=60)
-        assert not batch.is_alive()
-        victim_alive = _group_alive(int(victim))
-        sibling_alive = _group_alive(int(sibling))
-    finally:
-        for line in pids.read_text().splitlines() if pids.exists() else ():
-            drivers._kill_group(int(line.split()[0]))
-    crashed, timed_out = results[0]
+        os.kill(int(planners[0][1]), signal.SIGKILL)
+
+    with PlannerPool(2) as pool:
+        # both workers fork before the helper thread starts
+        plan_unlogged(load_adapters()["internal"], domain_path, [problem_path] * 2,
+                      tmp_path / "warm", pool=pool)
+        try:
+            with _helper_thread(kill_a_worker):
+                crashed, timed_out = plan_unlogged(
+                    adapter, domain_path, [problem_path, other_path], tmp_path / "plans",
+                    pool=pool)
+            (victim, worker, victim_problem), (sibling, sibling_worker, _) = planners
+            victim_alive = _group_alive(int(victim))
+            sibling_alive = _group_alive(int(sibling))
+        finally:
+            for line in pids.read_text().splitlines() if pids.exists() else ():
+                drivers._kill_group(int(line.split()[0]))
+    assert worker != sibling_worker  # both planners ran at once
     if Path(victim_problem).name != problem_path.name:
         crashed, timed_out = timed_out, crashed
     assert crashed.status == "crashed"
@@ -1250,7 +1319,7 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
     _nothing_outlives_the_pool()
 
 
-def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
+def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch, pool):
     session = Session(tmp_path / "artic3")
     stage_generate(session, assets_dir() / "artic3.dpgc.json",
                    assets_dir() / "artic3.pddl", 3, 17)
@@ -1266,11 +1335,11 @@ def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", torn)
     with pytest.raises(OSError, match="no space left"):
-        stage_plan(session, internal)
+        stage_plan(session, internal, pool=pool)
     monkeypatch.undo()
     assert list(session.plans_dir.iterdir()) == []
 
-    result = stage_plan(session, internal)
+    result = stage_plan(session, internal, pool=pool)
     assert result["attempted"] == 3
     assert result["planned"] == 3
     assert sorted(p.name for p in session.plans_dir.iterdir()) == [
@@ -1278,7 +1347,7 @@ def test_torn_plan_write_leaves_no_plan_and_is_replanned(tmp_path, monkeypatch):
     ]
 
 
-def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch):
+def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch, pool):
     session = Session(tmp_path / "artic3")
     stage_generate(session, assets_dir() / "artic3.dpgc.json",
                    assets_dir() / "artic3.pddl", 3, 17)
@@ -1295,7 +1364,7 @@ def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", fails_second)
     with pytest.raises(OSError, match="no space left"):
-        stage_plan(session, load_adapters()["internal"])
+        stage_plan(session, load_adapters()["internal"], pool=pool)
     monkeypatch.undo()
     assert (session.plans_dir / f"{first.stem}.plan").exists()
     lines = session.planning_log.read_text().splitlines()
@@ -1308,7 +1377,7 @@ def test_planning_log_lists_each_plan_as_it_is_kept(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid")
 def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
-                                                 micro_text):
+                                                 micro_text, pool):
     domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
     pid_file = tmp_path / "escaped.pid"
     # the sleep leaves the planner's session, out of reach of its group kill,
@@ -1320,7 +1389,8 @@ def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
     )
     start = time.monotonic()
     try:
-        (entry,) = plan_batch(adapter, domain_path, [problem_path], tmp_path / "plans")
+        (entry,) = plan_unlogged(adapter, domain_path, [problem_path], tmp_path / "plans",
+                                 pool=pool)
         elapsed = time.monotonic() - start
     finally:
         if pid_file.exists():
@@ -1333,4 +1403,5 @@ def test_an_escaped_planner_cannot_hang_a_batch(tmp_path, artic3_domain_text,
     # the planner's own timeout answered, so no worker (and no other
     # problem's planner with it) was killed
     assert entry.detail == f"killed after {adapter.timeout}s"
+    pool.close()
     _nothing_outlives_the_pool()

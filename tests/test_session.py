@@ -11,7 +11,7 @@ from conftest import MICRO_PLAN, tasks_of
 from planforge import assets_dir
 from planforge.dataset import build_records
 from planforge.dpgc import load_config
-from planforge.drivers import load_adapters
+from planforge.drivers import PlannerPool, load_adapters
 from planforge.evaluate import InferenceRecord, export_report, score
 from planforge.generate import generate_batch
 from planforge.pddl.parser import parse_domain
@@ -207,7 +207,8 @@ def planned_session(tmp_path_factory):
     root = tmp_path_factory.mktemp("session") / "artic3"
     session = Session(root)
     stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 8, 17)
-    stage_plan(session, load_adapters()["internal"])
+    with PlannerPool() as pool:
+        stage_plan(session, load_adapters()["internal"], pool=pool)
     return session
 
 
@@ -265,7 +266,7 @@ def test_stage_generate_rejects_changed_config(tmp_path):
                        ARTIC3_DOMAIN, 3, 3)
 
 
-def test_stage_plan_solves_and_resumes(planned_session):
+def test_stage_plan_solves_and_resumes(planned_session, pool):
     session = planned_session
     plans = sorted(session.plans_dir.glob("*.plan"))
     assert len(plans) == 8
@@ -273,26 +274,26 @@ def test_stage_plan_solves_and_resumes(planned_session):
     assert marker["adapter"] == "internal"
     assert marker["planned"] == 8
     # rerun: everything already has a plan file
-    again = stage_plan(session, load_adapters()["internal"])
+    again = stage_plan(session, load_adapters()["internal"], pool=pool)
     assert again["attempted"] == 0
     assert again["planned"] == 8
     assert again["shortfall"] == 0
     # plans from another planner never join the session's
     other = dataclasses.replace(load_adapters()["internal"], name="other")
     with pytest.raises(StageError, match="planned with adapter 'internal'"):
-        stage_plan(session, other)
+        stage_plan(session, other, pool=pool)
     assert session.read_marker("plan")["adapter"] == "internal"
 
 
-def test_stage_plan_names_a_changed_domain_not_the_adapter(tmp_path):
+def test_stage_plan_names_a_changed_domain_not_the_adapter(tmp_path, pool):
     session = Session(tmp_path / "artic3")
     stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 3, 7)
     internal = load_adapters()["internal"]
-    stage_plan(session, internal)
+    stage_plan(session, internal, pool=pool)
     with open(session.domain_path, "a") as fh:
         fh.write("; edited\n")
     with pytest.raises(StageError) as err:
-        stage_plan(session, internal)
+        stage_plan(session, internal, pool=pool)
     assert str(err.value) == (
         f"session {session.root} has a domain.pddl that changed since it was "
         "planned; use a fresh session directory"
@@ -300,7 +301,7 @@ def test_stage_plan_names_a_changed_domain_not_the_adapter(tmp_path):
     assert session.read_marker("plan")["adapter"] == "internal"
 
 
-def test_an_interrupted_plan_stage_keeps_its_adapter(tmp_path, monkeypatch):
+def test_an_interrupted_plan_stage_keeps_its_adapter(tmp_path, monkeypatch, pool):
     session = Session(tmp_path / "artic3")
     stage_generate(session, ARTIC3_CONFIG, ARTIC3_DOMAIN, 4, 17)
     internal = load_adapters()["internal"]
@@ -317,23 +318,23 @@ def test_an_interrupted_plan_stage_keeps_its_adapter(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", failing)
     with pytest.raises(OSError, match="no space left"):
-        stage_plan(session, internal)
+        stage_plan(session, internal, pool=pool)
     monkeypatch.undo()
     assert len(list(session.plans_dir.glob("*.plan"))) == 1
     other = dataclasses.replace(internal, name="other")
     with pytest.raises(StageError, match="planned with adapter 'internal'"):
-        stage_plan(session, other)
+        stage_plan(session, other, pool=pool)
     assert len(list(session.plans_dir.glob("*.plan"))) == 1
-    assert stage_plan(session, internal)["planned"] == 4
+    assert stage_plan(session, internal, pool=pool)["planned"] == 4
     assert session.read_marker("plan")["adapter"] == "internal"
 
 
-def test_stage_plan_requires_problems(tmp_path):
+def test_stage_plan_requires_problems(tmp_path, pool):
     session = Session(tmp_path / "s")
     session.root.mkdir()
     session.domain_path.write_bytes(ARTIC3_DOMAIN.read_bytes())
     with pytest.raises(StageError, match="no problems to plan"):
-        stage_plan(session, load_adapters()["internal"])
+        stage_plan(session, load_adapters()["internal"], pool=pool)
 
 
 def test_collect_records(planned_session):
@@ -451,7 +452,7 @@ def test_load_pipeline_config_checks_and_resolves(tmp_path):
         load_pipeline_config(absent)
 
 
-def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
+def test_run_pipeline_end_to_end(tmp_path, monkeypatch, pool):
     import planforge.session as session_module
 
     builds = []
@@ -463,7 +464,7 @@ def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
     monkeypatch.setattr(session_module, "build_records", counting_build_records)
     path = write_pipeline_config(tmp_path)
     config = load_pipeline_config(path)
-    summary = run_pipeline(config, tmp_path / "run")
+    summary = run_pipeline(config, tmp_path / "run", pool)
     # records are built once per round, and assembly reuses the last round's
     assert len(builds) == sum(info["rounds"] for info in summary["domains"].values())
     assert set(summary["domains"]) == {"artic3", "artic3m"}
@@ -478,14 +479,14 @@ def test_run_pipeline_end_to_end(tmp_path, monkeypatch):
     assert pipeline_marker["summary"]["train"] == 8
 
     # rerun is idempotent: generation skips, planning attempts nothing
-    again = run_pipeline(config, tmp_path / "run")
+    again = run_pipeline(config, tmp_path / "run", pool)
     assert again["dataset"] == summary["dataset"]
     for info in again["domains"].values():
         assert info["generate"]["skipped"]
         assert info["plan"]["attempted"] == 0
 
 
-def test_run_pipeline_names_the_bad_config_of_its_second_domain(tmp_path):
+def test_run_pipeline_names_the_bad_config_of_its_second_domain(tmp_path, pool):
     raw = json.loads((assets_dir() / "artic3m.dpgc.json").read_text())
     raw["object_pools"][0]["quantity"] = 0
     bad = tmp_path / "artic3m.dpgc.json"
@@ -497,35 +498,35 @@ def test_run_pipeline_names_the_bad_config_of_its_second_domain(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
         f"{bad}: config.object_pools[0].quantity: error: 0 is less than the minimum of 1"
     )):
-        run_pipeline(load_pipeline_config(path), tmp_path / "run")
+        run_pipeline(load_pipeline_config(path), tmp_path / "run", pool)
     assert not Session(tmp_path / "run" / "artic3m").config_path.exists()
 
 
-def test_run_pipeline_rejects_unknown_adapter(tmp_path):
+def test_run_pipeline_rejects_unknown_adapter(tmp_path, pool):
     path = write_pipeline_config(tmp_path, adapter="warp-drive")
     config = load_pipeline_config(path)
     with pytest.raises(StageError, match="unknown adapter 'warp-drive'"):
-        run_pipeline(config, tmp_path / "run")
+        run_pipeline(config, tmp_path / "run", pool)
 
 
-def test_run_pipeline_rejects_indivisible_quota(tmp_path):
+def test_run_pipeline_rejects_indivisible_quota(tmp_path, pool):
     path = write_pipeline_config(tmp_path, quotas={"train": 7})
     config = load_pipeline_config(path)
     with pytest.raises(StageError, match="does not divide evenly"):
-        run_pipeline(config, tmp_path / "run")
+        run_pipeline(config, tmp_path / "run", pool)
     assert not (tmp_path / "run").exists()  # refused before any work
 
 
-def test_run_pipeline_rejects_unknown_split_names(tmp_path):
+def test_run_pipeline_rejects_unknown_split_names(tmp_path, pool):
     for name in ("manifest", "spillover", "../../escaped"):
         path = write_pipeline_config(tmp_path, quotas={"train": 8, name: 2})
         config = load_pipeline_config(path)
         with pytest.raises(StageError, match=f"split '{name}' is not one of"):
-            run_pipeline(config, tmp_path / "run")
+            run_pipeline(config, tmp_path / "run", pool)
         assert not (tmp_path / "run").exists()  # refused before any work
 
 
-def test_run_pipeline_refuses_a_domain_named_twice(tmp_path):
+def test_run_pipeline_refuses_a_domain_named_twice(tmp_path, pool):
     again = tmp_path / "again.pddl"
     again.write_bytes(ARTIC3_DOMAIN.read_bytes())
     path = write_pipeline_config(tmp_path, domains=[
@@ -534,5 +535,5 @@ def test_run_pipeline_refuses_a_domain_named_twice(tmp_path):
     ], quotas={"train": 2})
     with pytest.raises(StageError, match=re.escape(
             "config.domains[0] and config.domains[1] both hold domain 'artic3'")):
-        run_pipeline(load_pipeline_config(path), tmp_path / "run")
+        run_pipeline(load_pipeline_config(path), tmp_path / "run", pool)
     assert not (tmp_path / "run").exists()  # refused before any work
