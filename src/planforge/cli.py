@@ -14,6 +14,9 @@ from pathlib import Path
 # Subcommands import what they use when they run: the planner protocol
 # (``refplan``) and ``validate`` need neither config checks nor the HTTP
 # client, and each ``eval`` or ``pipeline`` run loads only its own side.
+# ``plan`` and ``pipeline`` load their stages, and with them the planner,
+# before they fork their planner workers, so that each worker inherits a
+# loaded planner and imports nothing.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,7 +72,7 @@ def cmd_plan(args) -> int:
     from planforge.session import Session, load_adapter, stage_plan
 
     adapter = load_adapter(args.adapter, args.adapters)
-    with PlannerPool(args.workers) as pool:
+    with PlannerPool(args.workers) as pool:  # last: see the note on imports
         result = stage_plan(Session(args.session), adapter, timeout=args.timeout, pool=pool)
     tally = " ".join(f"{k}={v}" for k, v in sorted(result["tally"].items()))
     print(
@@ -171,7 +174,7 @@ def cmd_pipeline(args) -> int:
     from planforge.shape import load_pipeline_config
 
     config = load_pipeline_config(args.config)
-    with PlannerPool(config.get("workers", 1)) as pool:
+    with PlannerPool(config.get("workers", 1)) as pool:  # last: see the note on imports
         summary = run_pipeline(config, args.session, pool)
     for name, info in summary["domains"].items():
         print(

@@ -11,8 +11,8 @@ The bundled ``internal`` adapter's command would run ``reference_plan`` in a
 fresh interpreter per problem.  An adapter with exactly that command runs
 ``reference_plan`` in-process instead, with the same statuses.  ``plan_batch``
 runs every solve on a ``PlannerPool`` (``planforge.pool``, re-exported here
-with ``SolveResult``): child processes that a command's first batch forks
-and keeps for all its batches, each replaced alone if it hangs or dies.
+with ``SolveResult``): child processes that a command forks once and keeps
+for all its batches, each replaced alone if it hangs or dies.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """A pool of planner workers: forked child processes that ``solve`` problems.
 
 ``planforge.drivers`` imports this module and re-exports ``PlannerPool`` and
-``SolveResult``, so this module imports the standard library alone.  The
-first batch that needs workers forks them, once the command has loaded
-everything a solve needs, so each worker inherits a loaded planner and
-imports nothing; a command that plans nothing forks none.
+``SolveResult``, so this module imports the standard library alone.  A
+command forks its workers once it has loaded its stages, and with them
+``planforge.drivers``, so each worker inherits a loaded planner and imports
+nothing; a worker whose parent had not loaded ``planforge.drivers`` imports
+it before it reads its first problem.
 """
 
 from __future__ import annotations
@@ -61,28 +62,34 @@ class _Process:
 
 
 class PlannerPool:
-    """Up to ``workers`` forked child processes that ``solve`` problems.
+    """``workers`` forked child processes that ``solve`` problems, from the
+    moment the pool is made until it is closed.
 
-    A command opens one pool and solves all its batches on it, whatever
-    their adapter, domain and timeout, so its workers start once and keep
-    ``reference_plan``'s grounding memo from batch to batch.  A batch forks
-    a worker when a problem is waiting, no worker is idle and fewer than
-    ``workers`` are busy: the first batch forks the workers it needs, and a
-    worker that hangs or dies is killed, with the external planner it
-    reported, and replaced the same way (see ``solve_batch``).  ``close``,
-    or leaving a ``with`` block, stops every worker.  Each worker holds what
-    the parent had loaded when it forked, its stdin is ``/dev/null``, and as
-    it exits it runs the exit handlers registered before it forked, but not
-    the parent's ``weakref.finalize`` clean-ups, and leaves the parent's
-    ``multiprocessing`` children alone.  A batch may fork, so solving one in
-    a process with other threads is the caller's risk.  A pool solves one
-    batch at a time.
+    A command opens one pool once it has loaded its stages, and solves all
+    its batches on it, whatever their adapter, domain and timeout, so its
+    workers start once and keep ``reference_plan``'s grounding memo from
+    batch to batch.  The pool replaces a worker that hangs or dies, with the
+    external planner it reported, and nothing else (see ``solve_batch``).
+    ``close``, or leaving a ``with`` block, stops every worker.  Workers are
+    forked: each holds what the parent had loaded, and the files it had
+    open, when it forked (a replacement, forked inside a batch, holds that
+    batch's log), its stdin is ``/dev/null``, and as it exits it runs the
+    exit handlers registered before it forked, but not the parent's
+    ``weakref.finalize`` clean-ups, and leaves the parent's
+    ``multiprocessing`` children alone.  Forking from a process with other
+    threads is the caller's risk.  A pool solves one batch at a time.
     """
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = workers
         self._idle: list = []  # (process, connection) of workers waiting for a problem
         self._conns: set = set()  # the pool's end of each live worker's pipe, for workers to close
+        try:
+            for _ in range(workers):
+                self._idle.append(self._start())
+        except BaseException:
+            self.close()
+            raise
 
     def __enter__(self) -> PlannerPool:
         return self
@@ -101,14 +108,13 @@ class PlannerPool:
         (problem index, result) as each result arrives.
 
         A worker holds one problem at a time, whose clock starts when it is
-        sent; a problem that finds no idle worker forks one, up to
-        ``workers``.  A worker silent ``_KILL_GRACE_S`` past the timeout is
-        killed and its problem is ``timeout``; one that dies leaves its
-        problem ``crashed``.  Either way, the external planner's process
-        group that the worker reported is killed with it.  Only that worker
-        is replaced; other problems run on.  Workers that answered stay in
-        the pool for the next batch; any still busy when the caller closes
-        the generator early are stopped.
+        sent.  A worker silent ``_KILL_GRACE_S`` past the timeout is killed
+        and its problem is ``timeout``; one that dies leaves its problem
+        ``crashed``.  Either way, the external planner's process group that
+        the worker reported is killed with it.  Only that worker is
+        replaced; other problems run on.  Workers that answered stay in the
+        pool for the next batch; any still busy when the caller closes the
+        generator early are stopped.
         """
         limit = timeout + _KILL_GRACE_S
         todo = deque(range(len(problem_paths)))

@@ -38,7 +38,8 @@ from planforge.drivers import PlannerAdapter, PlannerPool, load_adapters, plan_b
 from planforge.generate import GenerationError, fingerprint_text, generate_batch
 from planforge.pddl.parser import parse_domain
 # StageError and the pipeline config's check live in shape, which loads no
-# PDDL code; they are re-exported here.
+# PDDL code, so that a command can check its config before it loads this
+# module; they are re-exported here.
 from planforge.shape import _PIPELINE, WHOLE, Object, StageError, load, load_pipeline_config, refuse
 
 

@@ -853,8 +853,6 @@ def test_plan_batch_keeps_plans_and_survives_a_killed_worker(
     stuck = tmp_path / "stuck.pddl"
     os.mkfifo(stuck)
     internal = load_adapters()["internal"]
-    # the worker forks before the helper thread starts
-    plan_unlogged(internal, domain_path, [problem_path], tmp_path / "warm", pool=pool)
     seen = []
     with _helper_thread(_kill_workers_once_kept, tmp_path / "plans" / "problem.plan", seen):
         solved, killed = plan_unlogged(internal, domain_path, [problem_path, stuck],
@@ -914,9 +912,6 @@ def test_a_pool_replaces_a_killed_worker_for_the_next_batch(
     os.mkfifo(stuck)
     internal = load_adapters()["internal"]
     with PlannerPool(2) as pool:
-        # both workers fork before the helper thread starts
-        plan_unlogged(internal, domain_path, [problem_path] * 2, tmp_path / "warm",
-                      pool=pool)
         seen = []
         # both workers die: the one stuck on the pipe and the idle one
         with _helper_thread(_kill_workers_once_kept, tmp_path / "plans" / "problem.plan",
@@ -1060,9 +1055,8 @@ def test_no_worker_prints_the_commands_pending_output(tmp_path):
 def test_a_worker_leaves_the_commands_temporary_directory_alone():
     # the directory's clean-up at exit is registered before the pool forks
     with tempfile.TemporaryDirectory() as kept:
-        with PlannerPool(1) as pool:
-            list(pool.solve_batch(load_adapters()["internal"], assets_dir() / "artic3.pddl",
-                                  [assets_dir() / "artic3_micro.pddl"], 60))
+        with PlannerPool(1):
+            pass
         assert Path(kept).is_dir()
 
 
@@ -1071,14 +1065,12 @@ def test_a_worker_leaves_the_callers_multiprocessing_children_alone(tmp_path):
     # terminate the caller's daemon child and fail to join it
     script = (
         "import multiprocessing, time\n"
-        "from planforge import assets_dir\n"
-        "from planforge.drivers import PlannerPool, load_adapters\n"
+        "from planforge.pool import PlannerPool\n"
         "child = multiprocessing.get_context('fork').Process(\n"
         "    target=time.sleep, args=(3,), daemon=True)\n"
         "child.start()\n"
-        "with PlannerPool(1) as pool:\n"
-        "    list(pool.solve_batch(load_adapters()['internal'], assets_dir() / 'artic3.pddl',\n"
-        "                          [assets_dir() / 'artic3_micro.pddl'], 60))\n"
+        "with PlannerPool(1):\n"
+        "    pass\n"
         "child.join(0.5)\n"
         "print(child.exitcode)\n"
     )
@@ -1159,50 +1151,6 @@ def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
     _nothing_outlives_the_pool()
 
 
-def _spy_on_starts(monkeypatch) -> list:
-    """The pools that fork a worker, one entry per fork, from now on."""
-    started = []
-    start = PlannerPool._start
-
-    def spy(pool):
-        started.append(pool)
-        return start(pool)
-
-    monkeypatch.setattr(PlannerPool, "_start", spy)
-    return started
-
-
-def test_plan_forks_no_worker_when_every_problem_has_a_plan(tmp_path, monkeypatch,
-                                                            capsys, pool):
-    session = Session(tmp_path / "s")
-    stage_generate(session, assets_dir() / "artic3.dpgc.json",
-                   assets_dir() / "artic3.pddl", 3, 17)
-    stage_plan(session, load_adapters()["internal"], pool=pool)
-    started = _spy_on_starts(monkeypatch)
-    capsys.readouterr()
-    assert main(["plan", "--session", str(session.root), "--workers", "2"]) == 0
-    assert capsys.readouterr().out == "planned 3/3 (attempted 0; nothing to do)\n"
-    assert started == []
-
-
-def test_a_batch_forks_only_the_workers_it_needs(tmp_path, monkeypatch,
-                                                  artic3_domain_text, micro_text):
-    domain_path, problem_path = micro_paths(tmp_path, artic3_domain_text, micro_text)
-    internal = load_adapters()["internal"]
-    started = _spy_on_starts(monkeypatch)
-    with PlannerPool(3) as pool:
-        assert started == []
-        (entry,) = plan_unlogged(internal, domain_path, [problem_path], tmp_path / "plans",
-                                 pool=pool)
-        assert entry.status == "solved"
-        assert len(started) == 1
-        again = plan_unlogged(internal, domain_path, [problem_path] * 3, tmp_path / "plans",
-                              pool=pool)
-        assert [e.status for e in again] == ["solved"] * 3
-        assert len(started) == 3
-    _nothing_outlives_the_pool()
-
-
 def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
     import planforge.session as session_module
 
@@ -1218,7 +1166,7 @@ def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fault, workers_started", [
-    ("second domain does not parse", 0),
+    ("second domain does not parse", 2),
     ("config missing", 0),
     ("config refused", 0),
 ])
@@ -1293,9 +1241,6 @@ def test_a_dead_worker_leaves_its_siblings_problem_running(
         os.kill(int(planners[0][1]), signal.SIGKILL)
 
     with PlannerPool(2) as pool:
-        # both workers fork before the helper thread starts
-        plan_unlogged(load_adapters()["internal"], domain_path, [problem_path] * 2,
-                      tmp_path / "warm", pool=pool)
         try:
             with _helper_thread(kill_a_worker):
                 crashed, timed_out = plan_unlogged(
