@@ -169,11 +169,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    from planforge.pool import PlannerPool
-    from planforge.session import run_pipeline
     from planforge.shape import load_pipeline_config
 
-    config = load_pipeline_config(args.config)
+    config = load_pipeline_config(args.config)  # before the stages load
+    from planforge.pool import PlannerPool
+    from planforge.session import run_pipeline
+
     with PlannerPool(config.get("workers", 1)) as pool:  # last: see the note on imports
         summary = run_pipeline(config, args.session, pool)
     for name, info in summary["domains"].items():

@@ -17,6 +17,7 @@ an error.  ``parse_config`` raises the structural ones and
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,6 +261,8 @@ def parse_config(text: str) -> GeneratorConfig:
             errors.append(Diagnostic(
                 path, f"{len(group.members)} member(s) but {len(group.weights)} weight(s)"
             ))
+        if not math.isfinite(sum(group.weights)):
+            errors.append(Diagnostic(f"{path}.weights", "the weights' total is not finite"))
         for j, member in enumerate(group.members):
             if member in group.members[:j]:
                 errors.append(Diagnostic(f"{path}.members", "duplicate members in mutex group"))

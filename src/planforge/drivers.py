@@ -423,10 +423,9 @@ def _compiled_candidates(
         return fires, pos, neg
 
     candidates = []
-    for action in ground:
-        schema = action.schema
+    for schema, args in ground:
         precondition, effects = schema.template
-        values = action.args + schema.terms[schema.arity :]
+        values = args + schema.terms[schema.arity :]
         _, pos, neg = fold(precondition, values)
         deletes = adds = 0
         branches = []
@@ -441,7 +440,7 @@ def _compiled_candidates(
             else:
                 deletes |= when_deletes
                 adds |= when_adds
-        step = (schema.name,) + action.args
+        step = (schema.name,) + args
         candidates.append((step, pos, neg, deletes, adds, tuple(branches)))
     needed = Counter(bit for candidate in candidates for bit in _split(candidate[1]))
     filed: dict = {}

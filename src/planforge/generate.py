@@ -76,7 +76,7 @@ class _PoolState:
                     if label is None
                     else f"cannot place tag '{self.pool.id}${label}': pool exhausted"
                 )
-            base = eligible[rng.randrange(len(eligible))]
+            base = rng.choice(eligible)
             self.used.update(base + off for off in offsets)
             return base
         return rng.randrange(span)
@@ -107,15 +107,7 @@ def sample_problem(
     # One categorical draw per mutex group picks the surviving member.
     suppressed: set[str] = set()
     for group in config.mutex_groups:
-        total = sum(group.weights)
-        pick = rng.random() * total
-        acc = 0.0
-        selected = group.members[-1]
-        for member, weight in zip(group.members, group.weights):
-            acc += weight
-            if pick < acc:
-                selected = member
-                break
+        selected = rng.choices(group.members, group.weights)[0]
         suppressed.update(m for m in group.members if m != selected)
 
     def sample_pool(pp: PredicatePool, sink_init: bool) -> None:

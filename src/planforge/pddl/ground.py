@@ -12,6 +12,7 @@ from collections.abc import Iterator
 
 from planforge.pddl.model import (
     EQ,
+    Action,
     Atom,
     Domain,
     GroundAction,
@@ -111,12 +112,15 @@ def static_predicates(domain: Domain) -> frozenset[str]:
     return frozenset(p.name for p in domain.predicates) - frozenset(touched)
 
 
-def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[GroundAction]:
-    """Every type-consistent instantiation whose static and ``=`` precondition
-    literals hold in the initial state, in schema order, then lexicographic
-    argument order.  Statics never change, so a skipped instantiation is
-    inapplicable in every reachable state, and the relative order of the
-    applicable ones is kept.
+def iter_applicable_candidates(
+    domain: Domain, problem: Problem
+) -> Iterator[tuple[Action, tuple[str, ...]]]:
+    """The (schema, arguments) of every type-consistent instantiation whose
+    static and ``=`` precondition literals hold in the initial state, in
+    schema order, then lexicographic argument order.  Statics never change,
+    so a skipped instantiation is inapplicable in every reachable state, and
+    the relative order of the applicable ones is kept.  No literal is built:
+    ``GroundAction(schema, args)`` builds them where they are needed.
 
     Parameters are bound level by level, in declaration order: each level
     extends every partial binding kept so far by the objects of the next
@@ -177,7 +181,7 @@ def iter_applicable_candidates(domain: Domain, problem: Problem) -> Iterator[Gro
                         extended.append(new)
             rows = extended
         for row in rows:
-            yield GroundAction(action, row[offset:])
+            yield action, row[offset:]
 
 
 def _passes(row: tuple[str, ...], checks: list, init: State) -> bool:

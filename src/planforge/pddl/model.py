@@ -163,28 +163,17 @@ class Problem:
 
 
 class GroundAction:
-    """A schema applied to one argument per parameter.
-
-    ``precondition`` and ``effects`` are the schema's with every term
-    replaced (see ``Action.template``), built together the first time
-    either is read, and then kept.  ``__getattr__`` builds them, since it
-    is called only while they are unset; ``functools.cached_property``
-    would take a lock on each first read on Python 3.11.  Grounding a
-    corpus shape thus builds no literal: ``reference_plan`` compiles its
-    candidates from the template.
-    """
+    """A schema applied to one argument per parameter: ``precondition`` and
+    ``effects`` are the schema's with every term replaced (see
+    ``Action.template``)."""
 
     __slots__ = ("schema", "args", "precondition", "effects")
 
     def __init__(self, schema: Action, args: tuple[str, ...]) -> None:
         self.schema = schema
         self.args = args
-
-    def __getattr__(self, attr: str):
-        if attr not in ("precondition", "effects"):  # before any read of self
-            raise AttributeError(attr)
-        precondition, effects = self.schema.template
-        values = self.args + self.schema.terms[len(self.args) :]
+        precondition, effects = schema.template
+        values = args + schema.terms[len(args) :]
         self.precondition = _literals(precondition, values)
         self.effects = tuple([
             EffectBranch(
@@ -194,7 +183,6 @@ class GroundAction:
             )
             for cond, adds, deletes in effects
         ])
-        return getattr(self, attr)
 
     @property
     def name(self) -> str:

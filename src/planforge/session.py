@@ -255,7 +255,7 @@ def stage_plan(
     counts = {"problems": len(problems), "planned": planned,
               "attempted": attempted, "tally": tally}
     session.write_marker("plan", fingerprint, adapter=adapter.name, **counts)
-    return {**counts, "shortfall": len(problems) - planned}
+    return counts
 
 
 def collect_records(session: Session):

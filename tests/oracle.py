@@ -211,8 +211,10 @@ def literal_bfs(domain, problem):
         goal_satisfied,
         iter_applicable_candidates,
     )
+    from planforge.pddl.model import GroundAction
 
-    candidates = list(iter_applicable_candidates(domain, problem))
+    candidates = [GroundAction(schema, args)
+                  for schema, args in iter_applicable_candidates(domain, problem)]
     start = problem.init
     if goal_satisfied(start, problem.goal):
         return []

@@ -112,10 +112,11 @@ def test_commands_import_only_what_they_use(tmp_path):
         "eval", "--dataset", str(split), "--endpoint", "http://127.0.0.1:1/x",
         "--out", str(tmp_path / "report"),
     ]) == {"planforge.evaluate"}
-    assert "planforge.evaluate" not in modules_after([
+    # the config is checked before any stage code loads
+    assert modules_after([
         "pipeline", "--config", str(tmp_path / "missing.json"),
         "--session", str(tmp_path / "run"),
-    ])
+    ], HEAVY_MODULES + ("planforge.session",)) == set()
 
 
 def modules_at_worker_starts(argv: list[str]) -> tuple[int, list[set[str]]]:

@@ -140,8 +140,11 @@ GROUP = {"id": "g", "members": ["poses", "targets"], "weights": [1, 1]}
      "mutex_groups[0].weights[0]", "nan is not a finite number"),
     (_set(["mutex_groups"], [dict(GROUP, weights=[1, float("inf")])]),
      "mutex_groups[0].weights[1]", "inf is not a finite number"),
+    # each weight is finite, but a draw could not weigh them against their sum
+    (_set(["mutex_groups"], [dict(GROUP, weights=[1e308, 1e308])]),
+     "mutex_groups[0].weights", "the weights' total is not finite"),
 ], ids=["float-quantity", "float-count", "bool-quantity", "nan-probability",
-        "nan-weight", "infinite-weight"])
+        "nan-weight", "infinite-weight", "overflowing-weights"])
 def test_whole_numbers_are_ints_and_numbers_are_finite(text, where, message):
     assert errors_of(text) == [f"config.{where}: error: {message}"]
 

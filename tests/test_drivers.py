@@ -39,6 +39,7 @@ from planforge.drivers import (
 from planforge.dpgc import parse_config
 from planforge.generate import generate_batch
 from planforge.pddl.ground import static_predicates
+from planforge.pddl.model import GroundAction
 from planforge.pddl.parser import parse_domain, parse_problem
 from planforge.pool import _KILL_GRACE_S
 from planforge.session import (
@@ -623,6 +624,21 @@ def test_problems_with_different_objects_never_share_candidates():
     assert drivers._compiled_candidates.cache_info().misses == 2
 
 
+def test_compiling_a_shape_builds_no_ground_action(artic3, micro, monkeypatch):
+    built = []
+    init = GroundAction.__init__
+
+    def spy(action, schema, args):
+        built.append(args)
+        init(action, schema, args)
+
+    monkeypatch.setattr(GroundAction, "__init__", spy)
+    drivers._compiled_candidates.cache_clear()
+    assert reference_plan(artic3, micro)
+    assert drivers._compiled_candidates.cache_info().misses == 1
+    assert built == []
+
+
 def test_budget_and_deadline_on_a_cache_hit(artic3, micro):
     drivers._compiled_candidates.cache_clear()
     for _ in range(2):  # a miss, then a hit
@@ -1135,7 +1151,8 @@ def _two_domain_config(tmp_path, **overrides) -> dict:
     return load_pipeline_config(path)
 
 
-def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
+def spy_on_start(monkeypatch):
+    """The list that each ``PlannerPool._start`` call appends its pool to."""
     started = []
     start = PlannerPool._start
 
@@ -1144,6 +1161,11 @@ def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
         return start(pool)
 
     monkeypatch.setattr(PlannerPool, "_start", spy)
+    return started
+
+
+def test_run_pipeline_starts_its_workers_once(tmp_path, monkeypatch):
+    started = spy_on_start(monkeypatch)
     with PlannerPool(2) as pool:
         summary = run_pipeline(_two_domain_config(tmp_path), tmp_path / "run", pool)
     assert [info["rounds"] > 1 for info in summary["domains"].values()] == [True, True]
@@ -1172,14 +1194,7 @@ def test_a_failed_pipeline_leaves_no_worker(tmp_path, monkeypatch):
 ])
 def test_no_worker_outlives_a_failed_command(tmp_path, monkeypatch, capsys, fault,
                                              workers_started):
-    started = []
-    start = PlannerPool._start
-
-    def spy(pool):
-        started.append(pool)
-        return start(pool)
-
-    monkeypatch.setattr(PlannerPool, "_start", spy)
+    started = spy_on_start(monkeypatch)
     bad_domain = tmp_path / "bad.pddl"
     bad_domain.write_text("(define (domain d) (:action a :parameters () :effect (q)))")
     config = {

@@ -23,7 +23,7 @@ from planforge.pddl.ground import (
     iter_applicable_candidates,
     static_predicates,
 )
-from planforge.pddl.model import Literal
+from planforge.pddl.model import GroundAction, Literal
 from planforge.pddl.parser import parse_domain, parse_problem
 
 # Micro fixture: 3 links, 4 angles, 2 grippers.
@@ -47,10 +47,16 @@ def every_grounding(domain, problem):
             for a in sim_ground_all(domain, problem)]
 
 
+def ground_candidates(domain, problem):
+    """The grounder's candidates, each built into a ``GroundAction``."""
+    return [GroundAction(schema, args)
+            for schema, args in iter_applicable_candidates(domain, problem)]
+
+
 def test_candidate_stream_is_ordered_subset(artic3, micro):
     ground = every_grounding(artic3, micro)
     assert len(ground) == MICRO_GROUND_COUNT
-    candidates = list(iter_applicable_candidates(artic3, micro))
+    candidates = ground_candidates(artic3, micro)
     assert len(candidates) == MICRO_CANDIDATE_COUNT
     sigs = [g.signature for g in ground]
     positions = [sigs.index(c.signature) for c in candidates]
@@ -74,7 +80,7 @@ def test_grounding_matches_the_oracle_on_edge_cases():
     def fields(action):
         return (action.name, action.args, action.precondition, action.effects)
 
-    candidates = list(iter_applicable_candidates(domain, problem))
+    candidates = ground_candidates(domain, problem)
     expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
     assert [fields(c) for c in candidates] == [fields(a) for a in expected]
     assert [c.signature for c in candidates] == [
@@ -159,7 +165,7 @@ def test_grounding_matches_the_oracle_where_the_join_applies():
         ("link", "p1", "h1", "p2"), ("link", "p2", "b2", "p1"), ("link", "b1", "b2", "p3"),
         ("marked", "b2"),
     ])
-    candidates = list(iter_applicable_candidates(domain, problem))
+    candidates = ground_candidates(domain, problem)
     expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
     assert [fields(c) for c in candidates] == [fields(a) for a in expected]
     assert [c.signature for c in candidates] == [
@@ -181,7 +187,7 @@ def test_grounding_matches_the_oracle_on_random_initial_states():
     for _ in range(40):
         share = rng.choice((0.1, 0.3, 0.6))
         problem = joins_problem(domain, [a for a in every if rng.random() < share])
-        candidates = list(iter_applicable_candidates(domain, problem))
+        candidates = ground_candidates(domain, problem)
         expected = sim_static_filter(domain, problem, sim_ground_all(domain, problem))
         assert [fields(c) for c in candidates] == [fields(a) for a in expected]
         sizes.append(len(candidates))
@@ -195,7 +201,7 @@ def test_static_predicates(artic3):
 
 
 def test_apply_matches_simulation_on_random_walks(artic3, micro):
-    candidates = list(iter_applicable_candidates(artic3, micro))
+    candidates = ground_candidates(artic3, micro)
     by_sig = {c.signature: c for c in candidates}
     rng = random.Random("walks")
     for _ in range(200):
@@ -214,7 +220,7 @@ def test_apply_matches_simulation_on_random_walks(artic3, micro):
 
 def test_transition_map_matches_simulation(artic3, micro):
     layers, transitions = sim_reachable_by_depth(artic3, micro, 2)
-    candidates = list(iter_applicable_candidates(artic3, micro))
+    candidates = ground_candidates(artic3, micro)
     for state in layers[0] | layers[1]:
         for action in candidates:
             key = (state, (action.name,) + action.args)
@@ -301,7 +307,7 @@ def test_goal_satisfied_handles_negative_goals(artic3, micro):
 
 
 def test_downstream_drag_propagates_only_downstream(artic3, micro):
-    ground = {g.signature: g for g in iter_applicable_candidates(artic3, micro)}
+    ground = {g.signature: g for g in ground_candidates(artic3, micro)}
     grasped = apply_action(micro.init, ground["(grasp gripper1 gripper2)"])
 
     # rotating link2 drags link3 (downstream of link2)

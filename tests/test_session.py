@@ -277,7 +277,7 @@ def test_stage_plan_solves_and_resumes(planned_session, pool):
     again = stage_plan(session, load_adapters()["internal"], pool=pool)
     assert again["attempted"] == 0
     assert again["planned"] == 8
-    assert again["shortfall"] == 0
+    assert again["planned"] == again["problems"]
     # plans from another planner never join the session's
     other = dataclasses.replace(load_adapters()["internal"], name="other")
     with pytest.raises(StageError, match="planned with adapter 'internal'"):
